@@ -7,7 +7,7 @@
 //                        allocations; budget: within 2x the plain
 //                        disabled-span cost in bench_obs_overhead)
 //   summary_serialize    encode one piggyback blob; counters report the
-//                        fixed wire size added to each update frame
+//                        TLV tail size added to each update frame
 //   summary_parse_tail   coordinator-side strip of the same blob
 //   attribution_round    critical-path attribution cost per round at a
 //                        32-client fleet: 32 observe_client joins + one
@@ -110,17 +110,16 @@ void bench_summary_serialize(benchmark::State& state) {
   frame.reserve(4096);
   for (auto _ : state) {
     frame.clear();
-    t.serialize_to(frame);
+    t.serialize_tlv_to(frame);
     benchmark::DoNotOptimize(frame.data());
   }
-  state.counters["piggyback_bytes_per_round"] =
-      static_cast<double>(TelemetrySummary::kWireBytes);
+  state.counters["piggyback_bytes_per_round"] = static_cast<double>(frame.size());
 }
 BENCHMARK(bench_summary_serialize);
 
 void bench_summary_parse_tail(benchmark::State& state) {
   of::AlignedBytes frame(4096, 0x5A);
-  sample_summary().serialize_to(frame);
+  sample_summary().serialize_tlv_to(frame);
   for (auto _ : state) {
     auto t = TelemetrySummary::parse_tail(frame.data(), frame.size());
     benchmark::DoNotOptimize(t);

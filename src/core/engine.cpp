@@ -534,7 +534,6 @@ RunResult Engine::run() {
       for (auto& s : setups) {
         s.obs_telemetry = true;
         s.obs_clock_sync_every = obs_cfg.clock_sync_rounds;
-        s.obs_wire_version = obs_cfg.telemetry_wire;
       }
     }
   }

@@ -12,7 +12,6 @@
 #include "comm/star.hpp"
 #include "common/check.hpp"
 #include "common/nonfinite.hpp"
-#include "exec/pool.hpp"
 #include "obs/flightrec.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -37,10 +36,9 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// Aggregator side of the telemetry piggyback: strip the tail off an update
-// frame (fixed v1 layout or variable-size v2 TLV — parse_tail reports the
-// size) and feed it to the fleet registry. Frames without a telemetry tail
-// (the aggregator's own empty gather placeholder) pass through as-is.
+// Aggregator side of the telemetry piggyback: strip the variable-size TLV
+// tail off an update frame (parse_tail reports its size) and feed it to the
+// fleet registry. Frames without a telemetry tail pass through as-is.
 void strip_telemetry(tensor::Bytes& frame) {
   std::size_t tail = 0;
   const auto t = obs::TelemetrySummary::parse_tail(frame.data(), frame.size(), &tail);
@@ -120,13 +118,10 @@ NodeReport NodeRuntime::run() {
                                              : run_serve_trainer(*inner.use);
   } else if (s_.mode == "ring") {
     report = run_ring_node(*inner.use);
-  } else if (s_.fault.enabled && s_.mode == "centralized") {
-    report = s_.role == NodeRole::Trainer ? run_fault_trainer(*inner.use)
-                                          : run_fault_aggregator(*inner.use);
   } else if (s_.role == NodeRole::Trainer) {
     report = run_trainer(*inner.use);
   } else if (s_.mode == "centralized") {
-    report = run_central_aggregator(*inner.use);
+    report = run_central_aggregator(*inner.use, gather_policy());
   } else if (s_.mode == "hierarchical") {
     OwnedComm outer = OwnedComm::make(s_.outer_spec);
     report = run_hier_leader(*inner.use, *outer.use);
@@ -137,6 +132,27 @@ NodeReport NodeRuntime::run() {
   report.comm_inner += inner.use->stats();
   report.train_seconds = train_seconds_;
   return report;
+}
+
+NodeRuntime::GatherPolicy NodeRuntime::gather_policy() const {
+  // The Engine only enables the fault model on centralized topologies.
+  return s_.fault.enabled && s_.mode == "centralized" ? GatherPolicy::DeadlineQuorum
+                                                      : GatherPolicy::All;
+}
+
+comm::star::PartialGather NodeRuntime::gather_updates(comm::Communicator& inner,
+                                                      const tensor::Bytes& mine,
+                                                      GatherPolicy policy) const {
+  if (policy == GatherPolicy::DeadlineQuorum)
+    return comm::star::gather_bytes_partial(
+        inner, mine,
+        {s_.fault.min_clients, s_.fault.round_deadline_seconds,
+         s_.fault.quorum_timeout_seconds});
+  comm::star::PartialGather g;
+  g.frames = inner.gather_bytes(mine, 0);
+  if (inner.rank() == 0)
+    for (int p = 1; p < inner.world_size(); ++p) g.participated.push_back(p);
+  return g;
 }
 
 bool NodeRuntime::selected_this_round(std::size_t round) const {
@@ -184,7 +200,7 @@ void NodeRuntime::append_telemetry(tensor::Bytes& frame, comm::Communicator& inn
   t.rank = static_cast<std::uint32_t>(inner.rank());
   t.round = static_cast<std::uint32_t>(round);
   // The innermost open span here is this client's Round span: the exemplar
-  // the coordinator attaches to critical-path attribution (v2 wire only).
+  // the coordinator attaches to critical-path attribution.
   t.round_span_id = obs::current_context().span_id;
   if (offset_est_.valid()) {
     t.clock_offset_ns = offset_est_.offset_ns();
@@ -207,35 +223,39 @@ void NodeRuntime::append_telemetry(tensor::Bytes& frame, comm::Communicator& inn
   struct rusage ru {};
   if (getrusage(RUSAGE_SELF, &ru) == 0)
     t.peak_rss_kb = static_cast<std::uint64_t>(ru.ru_maxrss);
-  if (s_.obs_wire_version >= 2)
-    t.serialize_tlv_to(frame);
-  else
-    t.serialize_to(frame);
+  t.serialize_tlv_to(frame);
 }
 
-void NodeRuntime::train_one_round(const std::vector<tensor::Tensor>& global,
-                                  std::size_t round, algorithms::TrainStats& stats_out,
-                                  tensor::Bytes& frame_out) {
-  auto& algo = *s_.algorithm;
+void NodeRuntime::apply_global(const std::vector<tensor::Tensor>& global,
+                               std::size_t round) {
   ctx_.round = round;
-  if (round == 0) algo.on_train_start(ctx_);
-  algo.apply_global(ctx_, global);
-  if (!selected_this_round(round)) {
-    stats_out = algorithms::TrainStats{};
-    frame_out = encode_skip_update();
-    return;
-  }
-  algo.on_round_start(ctx_);
+  if (round == 0) s_.algorithm->on_train_start(ctx_);
+  s_.algorithm->apply_global(ctx_, global);
+}
+
+algorithms::TrainStats NodeRuntime::train_local(std::size_t round) {
+  s_.algorithm->on_round_start(ctx_);
   const auto t0 = Clock::now();
   algorithms::TrainStats stats;
   {
     ScopedSpan span(Name::LocalTrain, s_.node_id, round);
-    stats = algo.local_train(ctx_);
+    stats = s_.algorithm->local_train(ctx_);
   }
-  stats_out = stats;
   const double elapsed = seconds_since(t0);
   train_seconds_ += elapsed;
   simulate_slowdown(elapsed);
+  return stats;
+}
+
+algorithms::TrainStats NodeRuntime::train_one_round(const std::vector<tensor::Tensor>& global,
+                                                    std::size_t round) {
+  auto& algo = *s_.algorithm;
+  apply_global(global, round);
+  if (!selected_this_round(round)) {
+    frame_buf_ = encode_skip_update();
+    return {};
+  }
+  const algorithms::TrainStats stats = train_local(round);
   auto payload = algo.client_update(ctx_);
   algo.on_round_end(ctx_);
   if (s_.byzantine) {
@@ -249,154 +269,88 @@ void NodeRuntime::train_one_round(const std::vector<tensor::Tensor>& global,
       }
     }
   }
-  const PayloadPlugins plugins{s_.compressor.get(), s_.privacy.get()};
+  encode_or_skip(payload, s_.privacy.get(), round);
+  return stats;
+}
+
+void NodeRuntime::encode_or_skip(const std::vector<tensor::Tensor>& payload,
+                                 privacy::PrivacyMechanism* privacy, std::size_t round) {
   if (s_.compressor)
     s_.compressor->set_stream(round, static_cast<std::uint64_t>(s_.cohort_index));
   ScopedSpan span(Name::Encode, s_.node_id, round);
   try {
-    encode_update_into(payload, s_.weight_scale, plugins, s_.cohort_index,
-                       s_.cohort_size, pool_, frame_out, s_.wire_repr);
+    encode_update_into(payload, s_.weight_scale, PayloadPlugins{s_.compressor.get(), privacy},
+                       s_.cohort_index, s_.cohort_size, pool_, frame_buf_, s_.wire_repr);
   } catch (const NonFiniteUpdateError&) {
-    // Numeric admission rejected the update (NaN/Inf coordinate). Send a
-    // skip frame instead: the aggregator drops this client for the round
-    // exactly like a non-participant, rather than letting one poisoned
-    // coordinate spread through the aggregate.
     obs::Registry::global().counter("payload.nonfinite_rejected").inc();
-    frame_out = encode_skip_update();
+    frame_buf_ = encode_skip_update();
   }
-  span.set_arg(frame_out.size());
+  span.set_arg(frame_buf_.size());
 }
 
-tensor::Tensor NodeRuntime::metrics_tensor(const algorithms::TrainStats& stats,
-                                           std::size_t round) {
-  // [loss_sum, steps, acc_sum, acc_count]
-  tensor::Tensor m({4});
-  m[0] = static_cast<float>(stats.loss_sum);
-  m[1] = static_cast<float>(stats.steps);
+RoundMetrics NodeRuntime::round_metrics(const algorithms::TrainStats& stats,
+                                        std::size_t round) {
+  RoundMetrics m;
+  m.loss_sum = static_cast<float>(stats.loss_sum);
+  m.steps = static_cast<float>(stats.steps);
   const bool eval_now = (s_.eval_every > 0 && (round + 1) % s_.eval_every == 0) ||
                         round + 1 == s_.global_rounds;
   if (eval_now && s_.test_set != nullptr) {
     nn::Model* em = s_.algorithm->eval_model(ctx_);
-    m[2] = algorithms::evaluate_accuracy(*em, *s_.test_set);
-    m[3] = 1.0f;
+    m.acc_sum = algorithms::evaluate_accuracy(*em, *s_.test_set);
+    m.acc_n = 1.0f;
   }
   return m;
 }
 
+NodeRuntime::RoundStart NodeRuntime::round_start(const comm::Communicator& link) {
+  return {Clock::now(), link.stats()};
+}
+
+RoundRecord NodeRuntime::record_round(std::size_t round, const RoundStart& start,
+                                      const comm::Communicator& link, double train_loss,
+                                      float accuracy, double aggregate_seconds,
+                                      const comm::star::PartialGather* gather) {
+  RoundRecord rec;
+  rec.round = round;
+  rec.seconds = seconds_since(start.t0);
+  rec.train_loss = train_loss;
+  rec.accuracy = accuracy;
+  const comm::CommStats now = link.stats();
+  rec.bytes_down = now.bytes_sent - start.stats.bytes_sent;
+  rec.bytes_up = now.bytes_received - start.stats.bytes_received;
+  rec.reconnects = now.reconnects;
+  const auto expected = static_cast<std::uint32_t>(link.world_size() - 1);
+  if (gather != nullptr) {
+    rec.participated = gather->participated.size();
+    rec.dropped_ranks = gather->dropped;
+    rec.deadline_hit = gather->deadline_hit;
+  }
+  if (telem_on_) {
+    obs::Fleet::RoundHealth h;
+    h.round = static_cast<std::uint32_t>(round);
+    h.participated =
+        gather != nullptr ? static_cast<std::uint32_t>(rec.participated) : expected;
+    h.expected = expected;
+    h.dropped = rec.dropped_ranks;
+    h.deadline_hit = rec.deadline_hit;
+    h.bytes_up = rec.bytes_up;
+    h.bytes_down = rec.bytes_down;
+    h.seconds = rec.seconds;
+    h.aggregate_seconds = aggregate_seconds;
+    obs::Fleet::global().record_round(h);
+  }
+  return rec;
+}
+
 NodeReport NodeRuntime::run_trainer(comm::Communicator& inner) {
+  const GatherPolicy policy = gather_policy();
+  // Fault injections (src/fault/); a disabled spec never fires.
+  fault::FaultInjector injector(s_.fault, inner.rank(), s_.participation_seed);
   for (std::size_t round = 0; round < s_.global_rounds; ++round) {
     ScopedSpan round_span(Name::Round, s_.node_id, round);
     // Parent this round under the aggregator span that sent the broadcast
     // we are about to receive — the cross-node edge of the merged trace.
-    round_span.link_remote_parent();
-    maybe_clock_sync(round);
-    tensor::Bytes gbytes;
-    {
-      ScopedSpan span(Name::Recv, s_.node_id, round);
-      inner.broadcast_bytes(gbytes, 0);
-      span.set_arg(gbytes.size());
-    }
-    std::vector<tensor::Tensor> global;
-    {
-      ScopedSpan span(Name::Decode, s_.node_id, round, gbytes.size());
-      global = unpack_tensors(gbytes);
-    }
-    algorithms::TrainStats stats;
-    train_one_round(global, round, stats, frame_buf_);
-    append_telemetry(frame_buf_, inner, round);
-    {
-      ScopedSpan span(Name::Send, s_.node_id, round, frame_buf_.size());
-      (void)inner.gather_bytes(frame_buf_, 0);
-    }
-    (void)inner.gather(metrics_tensor(stats, round), 0);
-  }
-  return NodeReport{};
-}
-
-NodeReport NodeRuntime::run_central_aggregator(comm::Communicator& inner) {
-  NodeReport report;
-  auto& algo = *s_.algorithm;
-  algorithms::ServerState state;
-  state.params = s_.algorithm_params;
-  state.global = algo.initial_global(s_.model);
-
-  for (std::size_t round = 0; round < s_.global_rounds; ++round) {
-    ScopedSpan round_span(Name::Round, s_.node_id, round);
-    const auto t0 = Clock::now();
-    const auto bytes_sent_before = inner.stats().bytes_sent;
-    const auto bytes_recv_before = inner.stats().bytes_received;
-
-    tensor::Bytes gbytes = pack_tensors(state.global);
-    {
-      ScopedSpan span(Name::Broadcast, s_.node_id, round, gbytes.size());
-      inner.broadcast_bytes(gbytes, 0);
-    }
-    std::vector<tensor::Bytes> frames;
-    {
-      ScopedSpan span(Name::Recv, s_.node_id, round);
-      frames = inner.gather_bytes({}, 0);
-    }
-    frames.erase(frames.begin());  // drop our own empty placeholder
-    if (telem_on_)
-      for (auto& f : frames) strip_telemetry(f);
-    const auto agg_t0 = Clock::now();
-    ScopedSpan agg_span(Name::Aggregate, s_.node_id, round, frames.size());
-    const auto mean =
-        s_.aggregation_rule == AggregationRule::Mean
-            ? mean_updates(frames, s_.compressor.get(), s_.privacy.get(), &pool_)
-            : robust_combine(frames, s_.compressor.get(), s_.aggregation_rule,
-                             s_.aggregation_trim, &pool_);
-    state.round = round;
-    state.global = algo.server_update(state, mean);
-    agg_span.end();
-    const double aggregate_s = seconds_since(agg_t0);
-
-    const auto metrics = inner.gather(tensor::Tensor({4}), 0);
-    RoundRecord rec;
-    rec.round = round;
-    rec.seconds = seconds_since(t0);
-    double loss_sum = 0.0, steps = 0.0, acc_sum = 0.0, acc_n = 0.0;
-    for (std::size_t p = 1; p < metrics.size(); ++p) {
-      loss_sum += metrics[p][0];
-      steps += metrics[p][1];
-      acc_sum += metrics[p][2];
-      acc_n += metrics[p][3];
-    }
-    rec.train_loss = steps > 0 ? loss_sum / steps : 0.0;
-    rec.accuracy = acc_n > 0 ? static_cast<float>(acc_sum / acc_n) : -1.0f;
-    rec.bytes_down = inner.stats().bytes_sent - bytes_sent_before;
-    rec.bytes_up = inner.stats().bytes_received - bytes_recv_before;
-    if (telem_on_) {
-      obs::Fleet::RoundHealth h;
-      h.round = static_cast<std::uint32_t>(round);
-      h.participated = static_cast<std::uint32_t>(frames.size());
-      h.expected = static_cast<std::uint32_t>(inner.world_size() - 1);
-      h.bytes_up = rec.bytes_up;
-      h.bytes_down = rec.bytes_down;
-      h.seconds = rec.seconds;
-      h.aggregate_seconds = aggregate_s;
-      obs::Fleet::global().record_round(h);
-    }
-    report.rounds.push_back(rec);
-  }
-  report.final_model = pack_tensors(state.global);
-  return report;
-}
-
-// --- fault-tolerant centralized rounds (src/fault/) ----------------------------
-//
-// One deadline governs each round, so the update and its metrics ride in a
-// single combined frame: u64 update_len | update_frame | metrics_tensor.
-// Otherwise a client could make the update cutoff but miss the metrics one,
-// skewing the two participation sets against each other.
-
-NodeReport NodeRuntime::run_fault_trainer(comm::Communicator& inner) {
-  fault::FaultInjector injector(s_.fault, inner.rank(), s_.participation_seed);
-  const comm::star::PartialGatherOptions opt{s_.fault.min_clients,
-                                             s_.fault.round_deadline_seconds,
-                                             s_.fault.quorum_timeout_seconds};
-  for (std::size_t round = 0; round < s_.global_rounds; ++round) {
-    ScopedSpan round_span(Name::Round, s_.node_id, round);
     round_span.link_remote_parent();
     maybe_clock_sync(round);
     tensor::Bytes gbytes;
@@ -417,9 +371,7 @@ NodeReport NodeRuntime::run_fault_trainer(comm::Communicator& inner) {
       ScopedSpan span(Name::Decode, s_.node_id, round, gbytes.size());
       global = unpack_tensors(gbytes);
     }
-    algorithms::TrainStats stats;
-    train_one_round(global, round, stats, frame_buf_);
-    const tensor::Bytes& frame = frame_buf_;
+    const algorithms::TrainStats stats = train_one_round(global, round);
     if (decision.extra_delay_seconds > 0.0) {
       // An injected straggler is indistinguishable from slow compute on the
       // wire; span the stall as train time so attribution names it `compute`
@@ -443,154 +395,85 @@ NodeReport NodeRuntime::run_fault_trainer(comm::Communicator& inner) {
             std::chrono::duration<double>(s_.fault.round_deadline_seconds + 0.05));
       }
     }
-    tensor::Bytes combined;
-    tensor::append_pod<std::uint64_t>(combined, frame.size());
-    combined.insert(combined.end(), frame.begin(), frame.end());
-    const tensor::Bytes mbytes = tensor::serialize_tensor(metrics_tensor(stats, round));
-    combined.insert(combined.end(), mbytes.begin(), mbytes.end());
-    append_telemetry(combined, inner, round);
+    append_metrics(frame_buf_, round_metrics(stats, round));
+    append_telemetry(frame_buf_, inner, round);
     {
-      ScopedSpan span(Name::Send, s_.node_id, round, combined.size());
-      (void)comm::star::gather_bytes_partial(inner, combined, opt);
+      ScopedSpan span(Name::Send, s_.node_id, round, frame_buf_.size());
+      (void)gather_updates(inner, frame_buf_, policy);
     }
   }
   return NodeReport{};
 }
 
-NodeReport NodeRuntime::run_fault_aggregator(comm::Communicator& inner) {
+NodeReport NodeRuntime::run_central_aggregator(comm::Communicator& inner,
+                                               GatherPolicy policy) {
   NodeReport report;
   auto& algo = *s_.algorithm;
   algorithms::ServerState state;
   state.params = s_.algorithm_params;
   state.global = algo.initial_global(s_.model);
-  const comm::star::PartialGatherOptions opt{s_.fault.min_clients,
-                                             s_.fault.round_deadline_seconds,
-                                             s_.fault.quorum_timeout_seconds};
+  const int cohort = inner.world_size() - 1;
 
   for (std::size_t round = 0; round < s_.global_rounds; ++round) {
     ScopedSpan round_span(Name::Round, s_.node_id, round);
-    const auto t0 = Clock::now();
-    const auto bytes_sent_before = inner.stats().bytes_sent;
-    const auto bytes_recv_before = inner.stats().bytes_received;
-
+    const RoundStart start = round_start(inner);
     tensor::Bytes gbytes = pack_tensors(state.global);
     {
       ScopedSpan span(Name::Broadcast, s_.node_id, round, gbytes.size());
       inner.broadcast_bytes(gbytes, 0);
     }
     ScopedSpan recv_span(Name::Recv, s_.node_id, round);
-    const auto partial = comm::star::gather_bytes_partial(inner, {}, opt);
+    comm::star::PartialGather g = gather_updates(inner, {}, policy);
     recv_span.end();
-    if (partial.deadline_hit) {
+    if (g.deadline_hit) {
       obs::Registry::global().counter("fault.deadline_cuts").inc();
-      obs::instant(Name::DeadlineCut, s_.node_id, round, partial.dropped.size());
+      obs::instant(Name::DeadlineCut, s_.node_id, round, g.dropped.size());
       if (obs::FlightRecorder::global().armed_for_deadline_cut())
         obs::FlightRecorder::global().dump("deadline_cut");
     }
 
     const auto agg_t0 = Clock::now();
-    ScopedSpan agg_span(Name::Aggregate, s_.node_id, round,
-                        partial.participated.size());
-    // Per-participant frame parsing is independent — split each combined
-    // frame into (update, metrics) by index across the pool, then fold the
-    // metric sums serially in participant order so the totals accumulate in
-    // the same order for any thread count.
-    const std::size_t np = partial.participated.size();
-    std::vector<tensor::Bytes> frames(np);
-    std::vector<tensor::Tensor> pmetrics(np);
-    std::vector<obs::TelemetrySummary> telem(np);
-    std::vector<char> telem_ok(np, 0);
-    exec::Pool::global().parallel_for(np, 1, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t idx = lo; idx < hi; ++idx) {
-        const int p = partial.participated[idx];
-        const tensor::Bytes& combined = partial.frames[static_cast<std::size_t>(p)];
-        std::size_t off = 0;
-        const auto ulen = tensor::read_pod<std::uint64_t>(combined, off);
-        std::size_t end = combined.size();
-        if (telem_on_) {
-          std::size_t tail = 0;
-          if (const auto t =
-                  obs::TelemetrySummary::parse_tail(combined.data(), end, &tail)) {
-            telem[idx] = *t;
-            telem_ok[idx] = 1;
-            end -= tail;
-          }
-        }
-        OF_CHECK_MSG(off + ulen <= end,
-                     "fault-mode frame from rank " << p << " truncated");
-        frames[idx].assign(combined.begin() + static_cast<std::ptrdiff_t>(off),
-                           combined.begin() + static_cast<std::ptrdiff_t>(off + ulen));
-        const tensor::Bytes mbytes(
-            combined.begin() + static_cast<std::ptrdiff_t>(off + ulen),
-            combined.begin() + static_cast<std::ptrdiff_t>(end));
-        pmetrics[idx] = tensor::deserialize_tensor(mbytes);
-      }
-    });
-    for (std::size_t idx = 0; idx < np; ++idx)
-      if (telem_ok[idx]) obs::Fleet::global().record(telem[idx]);
-    double loss_sum = 0.0, steps = 0.0, acc_sum = 0.0, acc_n = 0.0;
+    ScopedSpan agg_span(Name::Aggregate, s_.node_id, round, g.participated.size());
+    // Strip each participant's tails in rank order, so the metric sums fold
+    // in the same order whatever the arrival order.
+    std::vector<tensor::Bytes> frames;
+    frames.reserve(g.participated.size());
+    MetricSums<double> metrics;
     double weight_sum = 0.0;
     int contributing = 0;
-    for (std::size_t idx = 0; idx < np; ++idx) {
-      const tensor::Tensor& m = pmetrics[idx];
-      loss_sum += m[0];
-      steps += m[1];
-      acc_sum += m[2];
-      acc_n += m[3];
-      if (!is_skip_update(frames[idx])) {
+    for (const int p : g.participated) {
+      tensor::Bytes& f = g.frames[static_cast<std::size_t>(p)];
+      if (telem_on_) strip_telemetry(f);
+      metrics.add(strip_metrics(f));
+      if (!is_skip_update(f)) {
         ++contributing;
-        const int p = partial.participated[idx];
         const auto ci = static_cast<std::size_t>(p - 1);  // rank p ↔ cohort index p-1
         if (ci < s_.client_weights.size()) weight_sum += s_.client_weights[ci];
       }
+      frames.push_back(std::move(f));
     }
-
     if (contributing > 0) {
       auto mean = s_.aggregation_rule == AggregationRule::Mean
                       ? mean_updates(frames, s_.compressor.get(), s_.privacy.get(), &pool_)
                       : robust_combine(frames, s_.compressor.get(), s_.aggregation_rule,
                                        s_.aggregation_trim, &pool_);
-      // Each update was pre-scaled by n_i·N/total; the uniform mean over the
-      // k survivors therefore needs k / (N·Σ w_i) to become the exact
-      // weighted mean over the surviving cohort (= 1 at full participation).
+      // Fault runs (client_weights set): each update was pre-scaled by
+      // n_i·N/total, so the uniform mean over the k survivors needs
+      // k / (N·Σ w_i) to become the exact weighted mean over the surviving
+      // cohort (= 1 at full participation).
       if (s_.aggregation_rule == AggregationRule::Mean && !s_.client_weights.empty() &&
           weight_sum > 1e-12) {
         const double corr = static_cast<double>(contributing) /
-                            (static_cast<double>(s_.cohort_size) * weight_sum);
+                            (static_cast<double>(cohort) * weight_sum);
         if (std::abs(corr - 1.0) > 1e-9)
           for (auto& t : mean) t.scale_(static_cast<float>(corr));
       }
       state.round = round;
       state.global = algo.server_update(state, mean);
-    }  // an empty round (quorum of skips) leaves the global model untouched
+    }  // an all-skip round leaves the global model untouched
     agg_span.end();
-    const double aggregate_s = seconds_since(agg_t0);
-
-    RoundRecord rec;
-    rec.round = round;
-    rec.seconds = seconds_since(t0);
-    rec.train_loss = steps > 0 ? loss_sum / steps : 0.0;
-    rec.accuracy = acc_n > 0 ? static_cast<float>(acc_sum / acc_n) : -1.0f;
-    rec.bytes_down = inner.stats().bytes_sent - bytes_sent_before;
-    rec.bytes_up = inner.stats().bytes_received - bytes_recv_before;
-    rec.participated = partial.participated.size();
-    rec.dropped_ranks = partial.dropped;
-    rec.deadline_hit = partial.deadline_hit;
-    rec.reconnects = inner.stats().reconnects;
-    if (telem_on_) {
-      obs::Fleet::RoundHealth h;
-      h.round = static_cast<std::uint32_t>(round);
-      h.participated = static_cast<std::uint32_t>(partial.participated.size());
-      h.expected = static_cast<std::uint32_t>(inner.world_size() - 1);
-      h.dropped = partial.dropped;
-      h.deadline_hit = partial.deadline_hit;
-      h.bytes_up = rec.bytes_up;
-      h.bytes_down = rec.bytes_down;
-      h.seconds = rec.seconds;
-      h.aggregate_seconds = aggregate_s;
-      obs::Fleet::global().record_round(h);
-    }
-    report.rounds.push_back(rec);
+    report.rounds.push_back(record_round(round, start, inner, metrics.train_loss(),
+                                         metrics.accuracy(), seconds_since(agg_t0), &g));
   }
   report.final_model = pack_tensors(state.global);
   return report;
@@ -607,37 +490,16 @@ NodeReport NodeRuntime::run_ring_node(comm::Communicator& inner) {
 
   for (std::size_t round = 0; round < s_.global_rounds; ++round) {
     ScopedSpan round_span(Name::Round, s_.node_id, round);
-    const auto t0 = Clock::now();
-    algorithms::TrainStats stats;
-    ctx_.round = round;
-    if (round == 0) algo.on_train_start(ctx_);
-    algo.apply_global(ctx_, state.global);
-    algo.on_round_start(ctx_);
-    const auto tt = Clock::now();
-    {
-      ScopedSpan span(Name::LocalTrain, s_.node_id, round);
-      stats = algo.local_train(ctx_);
-    }
-    train_seconds_ += seconds_since(tt);
+    const RoundStart start = round_start(inner);
+    apply_global(state.global, round);
+    const algorithms::TrainStats stats = train_local(round);
     auto payload = algo.client_update(ctx_);
     algo.on_round_end(ctx_);
 
     std::vector<tensor::Tensor> mean;
     if (s_.compressor) {
       // Sparse codecs exchange via all-gather (paper §3.4.2).
-      const PayloadPlugins plugins{s_.compressor.get(), nullptr};
-      s_.compressor->set_stream(round, static_cast<std::uint64_t>(s_.cohort_index));
-      {
-        ScopedSpan span(Name::Encode, s_.node_id, round);
-        try {
-          encode_update_into(payload, s_.weight_scale, plugins, s_.cohort_index,
-                             s_.cohort_size, pool_, frame_buf_, s_.wire_repr);
-        } catch (const NonFiniteUpdateError&) {
-          obs::Registry::global().counter("payload.nonfinite_rejected").inc();
-          frame_buf_ = encode_skip_update();
-        }
-        span.set_arg(frame_buf_.size());
-      }
+      encode_or_skip(payload, nullptr, round);
       ScopedSpan agg_span(Name::Aggregate, s_.node_id, round);
       const auto frames = inner.allgather_bytes(frame_buf_);
       mean = mean_updates(frames, s_.compressor.get(), nullptr, &pool_);
@@ -655,18 +517,15 @@ NodeReport NodeRuntime::run_ring_node(comm::Communicator& inner) {
     state.round = round;
     state.global = algo.server_update(state, mean);
 
-    // Metrics: summed across the ring; rank 0 records.
-    tensor::Tensor m = metrics_tensor(stats, round);
+    // Metrics: the dense path has no update frame to carry them, so they
+    // are summed across the ring; rank 0 records.
+    const RoundMetrics mine = round_metrics(stats, round);
+    tensor::Tensor m({4}, {mine.loss_sum, mine.steps, mine.acc_sum, mine.acc_n});
     inner.allreduce(m, comm::ReduceOp::Sum);
     if (inner.rank() == 0) {
-      RoundRecord rec;
-      rec.round = round;
-      rec.seconds = seconds_since(t0);
-      rec.train_loss = m[1] > 0 ? m[0] / m[1] : 0.0;
-      rec.accuracy = m[3] > 0 ? m[2] / m[3] : -1.0f;
-      rec.bytes_down = 0;
-      rec.bytes_up = 0;
-      report.rounds.push_back(rec);
+      const RoundMetrics all{m[0], m[1], m[2], m[3]};
+      report.rounds.push_back(
+          record_round(round, start, inner, all.train_loss(), all.accuracy()));
     }
   }
   report.final_model = pack_tensors(state.global);
@@ -689,10 +548,10 @@ NodeReport NodeRuntime::run_ring_node(comm::Communicator& inner) {
 //     kind 1 Retry:  u8 reason (1 = stale, 2 = full) | f32 retry_after_s
 //     kind 2 Stop:   (empty)
 //   kServeUpdate client → server: u8 kind | body
-//     kind 0 Update: f32 loss_sum | f32 steps | payload frame [| telemetry]
+//     kind 0 Update: payload frame | metrics trailer [| telemetry tail]
 //     kind 1 Join:   (empty)  re-registration after a churn departure
 //     kind 2 Leave:  (empty)  voluntary churn departure
-//     kind 3 Final:  f32 acc_sum | f32 acc_n
+//     kind 3 Final:  metrics trailer (acc_sum, acc_n)
 namespace {
 constexpr int kServeModel = 105;
 constexpr int kServeUpdate = 106;
@@ -762,8 +621,7 @@ NodeReport NodeRuntime::run_serve_aggregator(comm::Communicator& inner) {
   std::uint64_t pick_counter = 0;
 
   auto send_model = [&](int dst) {
-    tensor::Bytes frame;
-    tensor::append_pod<std::uint8_t>(frame, kDownInvite);
+    tensor::Bytes frame{kDownInvite};
     const tensor::Bytes packed = pack_tensors(state.global);
     frame.insert(frame.end(), packed.begin(), packed.end());
     ScopedSpan span(Name::Send, s_.node_id, trace_round, frame.size());
@@ -799,8 +657,8 @@ NodeReport NodeRuntime::run_serve_aggregator(comm::Communicator& inner) {
   };
 
   const auto run_t0 = Clock::now();
-  auto group_t0 = Clock::now();
-  double loss_sum = 0.0, steps_sum = 0.0;
+  RoundStart window_start = round_start(inner);
+  MetricSums<double> window;  // accepted updates' metrics, this virtual round
 
   auto record_serve_health = [&] {
     if (!telem_on_) return;
@@ -855,8 +713,7 @@ NodeReport NodeRuntime::run_serve_aggregator(comm::Communicator& inner) {
                                         << src);
     registry.seen(src, v);
     in_flight.erase(src);
-    const auto f_loss = tensor::read_pod<float>(frame, off);
-    const auto f_steps = tensor::read_pod<float>(frame, off);
+    const RoundMetrics metrics = strip_metrics(frame);
     const auto staleness =
         static_cast<std::size_t>(v - invited_version[static_cast<std::size_t>(src)]);
     obs::instant(Name::AsyncStaleness, s_.node_id, trace_round, staleness);
@@ -864,13 +721,11 @@ NodeReport NodeRuntime::run_serve_aggregator(comm::Communicator& inner) {
     const tensor::ConstByteSpan payload(frame.data() + off, frame.size() - off);
     const auto admission = buffer.offer(payload, staleness);
     if (admission == serve::StalenessBuffer::Admission::Accepted) {
-      loss_sum += f_loss;
-      steps_sum += f_steps;
+      window.add(metrics);
     } else {
       // Backpressure (admission control): answer with a retry-after control
       // frame instead of silently folding or dropping the client's work.
-      tensor::Bytes reply;
-      tensor::append_pod<std::uint8_t>(reply, kDownRetry);
+      tensor::Bytes reply{kDownRetry};
       tensor::append_pod<std::uint8_t>(
           reply, admission == serve::StalenessBuffer::Admission::RejectedStale
                      ? kRetryStale
@@ -882,9 +737,13 @@ NodeReport NodeRuntime::run_serve_aggregator(comm::Communicator& inner) {
     if (buffer.ready()) {
       ScopedSpan span(Name::Aggregate, s_.node_id, trace_round, buffer.size());
       const auto mean = buffer.drain();
-      OF_CHECK_MSG(mean.size() == state.global.size(), "serve payload size drift");
-      for (std::size_t i = 0; i < mean.size(); ++i)
-        state.global[i].add_scaled_(mean[i], 1.0f);
+      // An all-skip window drains to no model change; the version (and so
+      // the sampling window) still advances.
+      if (!mean.empty()) {
+        OF_CHECK_MSG(mean.size() == state.global.size(), "serve payload size drift");
+        for (std::size_t i = 0; i < mean.size(); ++i)
+          state.global[i].add_scaled_(mean[i], 1.0f);
+      }
       const std::uint64_t nv = version.fetch_add(1, std::memory_order_relaxed) + 1;
       // New aggregation window: a fresh invitation sample over the current
       // alive set.
@@ -899,55 +758,38 @@ NodeReport NodeRuntime::run_serve_aggregator(comm::Communicator& inner) {
     // cadence, so metrics CSVs stay comparable across modes.
     if (admission == serve::StalenessBuffer::Admission::Accepted &&
         (accepted % static_cast<std::size_t>(clients) == 0 || accepted == total)) {
-      RoundRecord rec;
-      rec.round = report.rounds.size();
-      rec.seconds = seconds_since(group_t0);
-      rec.train_loss = steps_sum > 0 ? loss_sum / steps_sum : 0.0;
-      rec.accuracy = -1.0f;
+      report.rounds.push_back(record_round(report.rounds.size(), window_start, inner,
+                                           window.train_loss(), window.accuracy()));
       // Running mean over every accepted update so far, so each virtual
       // round reports staleness; the last record carries the run mean.
-      rec.mean_staleness = static_cast<double>(buffer.staleness_sum()) /
-                           static_cast<double>(accepted);
-      if (telem_on_) {
-        obs::Fleet::RoundHealth h;
-        h.round = static_cast<std::uint32_t>(rec.round);
-        h.participated = static_cast<std::uint32_t>(clients);
-        h.expected = static_cast<std::uint32_t>(clients);
-        h.seconds = rec.seconds;
-        obs::Fleet::global().record_round(h);
-      }
-      report.rounds.push_back(rec);
+      report.rounds.back().mean_staleness = static_cast<double>(buffer.staleness_sum()) /
+                                            static_cast<double>(accepted);
       trace_round = report.rounds.size();
-      loss_sum = steps_sum = 0.0;
-      group_t0 = Clock::now();
+      window = {};
+      window_start = round_start(inner);
     }
     record_serve_health();
   }
 
   // Stop every transport rank — in-flight stragglers and away churners all
   // see the queued Stop once their current step completes.
-  for (int c = 1; c <= clients; ++c) {
-    tensor::Bytes stop;
-    tensor::append_pod<std::uint8_t>(stop, kDownStop);
-    inner.send_bytes(c, kServeModel, stop);
-  }
+  const tensor::Bytes stop{kDownStop};
+  for (int c = 1; c <= clients; ++c) inner.send_bytes(c, kServeModel, stop);
 
   // Collect each client's final test accuracy, discarding stray frames
   // (late updates, churn re-registrations) that raced the Stop.
-  double acc_sum = 0.0, acc_n = 0.0;
+  MetricSums<double> finals;
   for (int got = 0; got < clients;) {
     auto [src, frame] = inner.recv_bytes_any(kServeUpdate);
     (void)src;
     if (telem_on_) strip_telemetry(frame);
     std::size_t off = 0;
-    const auto kind = tensor::read_pod<std::uint8_t>(frame, off);
-    if (kind != kUpFinal) continue;
-    acc_sum += tensor::read_pod<float>(frame, off);
-    acc_n += tensor::read_pod<float>(frame, off);
+    if (tensor::read_pod<std::uint8_t>(frame, off) != kUpFinal) continue;
+    finals.add(strip_metrics(frame));
     ++got;
   }
-  if (!report.rounds.empty() && acc_n > 0)
-    report.rounds.back().accuracy = static_cast<float>(acc_sum / acc_n);
+  if (!report.rounds.empty() && finals.acc_n > 0)
+    report.rounds.back().accuracy = finals.accuracy();
   record_serve_health();
   report.final_model = pack_tensors(state.global);
   return report;
@@ -960,11 +802,10 @@ NodeReport NodeRuntime::run_serve_trainer(comm::Communicator& inner) {
   // per client inside ChurnProcess.
   fault::ChurnProcess churn(s_.fault.churn, inner.rank(), s_.participation_seed);
   std::size_t round = 0;
-  algorithms::TrainStats last_stats;
   for (;;) {
     maybe_clock_sync(round);
     ScopedSpan recv_span(Name::Recv, s_.node_id, round);
-    const tensor::Bytes frame = inner.recv_bytes(0, kServeModel);
+    tensor::Bytes frame = inner.recv_bytes(0, kServeModel);
     recv_span.set_arg(frame.size());
     recv_span.end();
     std::size_t off = 0;
@@ -985,34 +826,19 @@ NodeReport NodeRuntime::run_serve_trainer(comm::Communicator& inner) {
       // Churn departure: deregister, stay away, come back as a fresh
       // registration. The invite's model snapshot is discarded — the
       // coordinator resamples a replacement for this window.
-      tensor::Bytes msg;
-      tensor::append_pod<std::uint8_t>(msg, kUpLeave);
-      inner.send_bytes(0, kServeUpdate, msg);
+      inner.send_bytes(0, kServeUpdate, tensor::Bytes{kUpLeave});
       std::this_thread::sleep_for(
           std::chrono::duration<double>(churn.down_seconds()));
-      msg.clear();
-      tensor::append_pod<std::uint8_t>(msg, kUpJoin);
-      inner.send_bytes(0, kServeUpdate, msg);
+      inner.send_bytes(0, kServeUpdate, tensor::Bytes{kUpJoin});
       continue;
     }
-    const tensor::Bytes packed(frame.begin() + static_cast<std::ptrdiff_t>(off),
-                               frame.end());
-    ScopedSpan decode_span(Name::Decode, s_.node_id, round, packed.size());
-    const auto global = unpack_tensors(packed);
+    ScopedSpan decode_span(Name::Decode, s_.node_id, round, frame.size() - off);
+    const auto global = tensor::deserialize_tensors(tensor::ConstByteSpan(frame).subspan(off));
+    tensor::Bytes().swap(frame);  // decoded: free the invite before training
     decode_span.end();
 
-    ctx_.round = round;
-    if (round == 0) algo.on_train_start(ctx_);
-    algo.apply_global(ctx_, global);
-    algo.on_round_start(ctx_);
-    const auto t0 = Clock::now();
-    {
-      ScopedSpan span(Name::LocalTrain, s_.node_id, round);
-      last_stats = algo.local_train(ctx_);
-    }
-    const double elapsed = seconds_since(t0);
-    train_seconds_ += elapsed;
-    simulate_slowdown(elapsed);
+    apply_global(global, round);
+    const algorithms::TrainStats stats = train_local(round);
     algo.on_round_end(ctx_);
 
     // The wire always carries the delta against the snapshot we trained
@@ -1030,48 +856,30 @@ NodeReport NodeRuntime::run_serve_trainer(comm::Communicator& inner) {
         payload.push_back(std::move(d));
       }
     }
-    const PayloadPlugins plugins{s_.compressor.get(), nullptr};
-    if (s_.compressor)
-      s_.compressor->set_stream(round, static_cast<std::uint64_t>(s_.cohort_index));
+    // The buffer's StreamingSum ignores a skip marker, so a rejected update
+    // contributes nothing to the folded aggregate.
+    encode_or_skip(payload, nullptr, round);
+    // The up-frame is built in place around the payload in the reused
+    // frame buffer, so steady-state updates allocate nothing.
+    frame_buf_.insert(frame_buf_.begin(), kUpUpdate);
+    append_metrics(frame_buf_,
+                   {static_cast<float>(stats.loss_sum), static_cast<float>(stats.steps)});
+    append_telemetry(frame_buf_, inner, round);
     {
-      ScopedSpan span(Name::Encode, s_.node_id, round);
-      try {
-        encode_update_into(payload, s_.weight_scale, plugins, s_.cohort_index,
-                           s_.cohort_size, pool_, frame_buf_, s_.wire_repr);
-      } catch (const NonFiniteUpdateError&) {
-        // The buffer's StreamingSum ignores the skip marker, so a rejected
-        // update contributes nothing to the folded aggregate.
-        obs::Registry::global().counter("payload.nonfinite_rejected").inc();
-        frame_buf_ = encode_skip_update();
-      }
-      span.set_arg(frame_buf_.size());
-    }
-    // Up-frame: kind | loss_sum | steps | payload [| telemetry tail]. The
-    // training metrics ride the header, outside the payload frame, so the
-    // buffer can fold the payload without popping a metrics tensor back out.
-    tensor::Bytes up;
-    tensor::append_pod<std::uint8_t>(up, kUpUpdate);
-    tensor::append_pod<float>(up, static_cast<float>(last_stats.loss_sum));
-    tensor::append_pod<float>(up, static_cast<float>(last_stats.steps));
-    up.insert(up.end(), frame_buf_.begin(), frame_buf_.end());
-    append_telemetry(up, inner, round);
-    {
-      ScopedSpan span(Name::Send, s_.node_id, round, up.size());
-      inner.send_bytes(0, kServeUpdate, up);
+      ScopedSpan span(Name::Send, s_.node_id, round, frame_buf_.size());
+      inner.send_bytes(0, kServeUpdate, frame_buf_);
     }
     ++round;
   }
   // Final evaluation.
-  tensor::Bytes fin;
-  tensor::append_pod<std::uint8_t>(fin, kUpFinal);
-  float acc = 0.0f, n = 0.0f;
+  RoundMetrics fin;
   if (s_.test_set) {
-    acc = algorithms::evaluate_accuracy(*algo.eval_model(ctx_), *s_.test_set);
-    n = 1.0f;
+    fin.acc_sum = algorithms::evaluate_accuracy(*algo.eval_model(ctx_), *s_.test_set);
+    fin.acc_n = 1.0f;
   }
-  tensor::append_pod<float>(fin, acc);
-  tensor::append_pod<float>(fin, n);
-  inner.send_bytes(0, kServeUpdate, fin);
+  tensor::Bytes msg{kUpFinal};
+  append_metrics(msg, fin);
+  inner.send_bytes(0, kServeUpdate, msg);
   return NodeReport{};
 }
 
@@ -1092,25 +900,22 @@ NodeReport NodeRuntime::run_hier_leader(comm::Communicator& inner,
   const bool streaming = s_.privacy == nullptr;
   StreamingSum group_sum(pool_, s_.compressor.get());
   StreamingSum root_sum(pool_, s_.outer_compressor.get());
-  comm::star::PartialGatherOptions group_opt;
-  if (s_.hier_deadline_seconds > 0) {
-    group_opt.min_clients = std::min(s_.hier_min_clients, inner.world_size() - 1);
-    group_opt.deadline_seconds = s_.hier_deadline_seconds;
-    group_opt.quorum_timeout_seconds = 60.0;
-  } else {
-    // No combiner policy configured: wait for the whole group.
-    group_opt.min_clients = inner.world_size() - 1;
-    group_opt.deadline_seconds = 60.0;
-    group_opt.quorum_timeout_seconds = 60.0;
-  }
-  comm::star::PartialGatherOptions outer_opt;  // combiners are never cut
-  outer_opt.min_clients = outer.world_size() - 1;
-  outer_opt.deadline_seconds = 60.0;
-  outer_opt.quorum_timeout_seconds = 60.0;
+  // Without a combiner policy (deadline 0) a combiner waits for its whole
+  // group; combiners themselves are never cut.
+  const int members = inner.world_size() - 1;
+  const bool cut = s_.hier_deadline_seconds > 0;
+  const comm::star::PartialGatherOptions group_opt{
+      cut ? std::min(s_.hier_min_clients, members) : members,
+      cut ? s_.hier_deadline_seconds : 60.0, 60.0};
+  const comm::star::PartialGatherOptions outer_opt{outer.world_size() - 1, 60.0, 60.0};
+  // Metric trailers stripped in the streaming sinks, parked by rank so the
+  // sums fold in rank order rather than arrival order.
+  std::vector<RoundMetrics> member_metrics(static_cast<std::size_t>(inner.world_size()));
+  std::vector<RoundMetrics> leader_metrics(static_cast<std::size_t>(outer.world_size()));
 
   for (std::size_t round = 0; round < s_.global_rounds; ++round) {
     ScopedSpan round_span(Name::Round, s_.node_id, round);
-    const auto t0 = Clock::now();
+    const RoundStart start = round_start(outer);
     // Global payload: root → leaders → group members.
     tensor::Bytes gbytes;
     if (is_root) gbytes = pack_tensors(state.global);
@@ -1125,18 +930,26 @@ NodeReport NodeRuntime::run_hier_leader(comm::Communicator& inner,
     if (s_.outer_compressor)
       s_.outer_compressor->set_stream(round, static_cast<std::uint64_t>(outer.rank()));
 
+    RoundMetrics group;  // this combiner's members
+    RoundMetrics total;  // root: every group, in outer-rank order
     if (streaming) {
       // Fold each group update into the partial sum the moment it arrives
       // (trainers send through plain gather_bytes — same tag protocol).
       group_sum.reset();
+      std::fill(member_metrics.begin(), member_metrics.end(), RoundMetrics{});
       comm::star::StreamingGather sg;
       {
         ScopedSpan span(Name::Recv, s_.node_id, round);
         sg = comm::star::gather_bytes_streaming(
             inner, {},
-            [&](int /*src*/, tensor::Bytes&& frame) { group_sum.add(frame); },
+            [&](int src, tensor::Bytes&& frame) {
+              member_metrics[static_cast<std::size_t>(src)] = strip_metrics(frame);
+              group_sum.add(frame);
+            },
             group_opt);
       }
+      for (const int p : sg.participated)
+        group.add(member_metrics[static_cast<std::size_t>(p)]);
       {
         ScopedSpan span(Name::Encode, s_.node_id, round);
         group_sum.encode_partial_into(s_.partial_scale, s_.outer_compressor.get(),
@@ -1148,26 +961,35 @@ NodeReport NodeRuntime::run_hier_leader(comm::Communicator& inner,
         ch.group = s_.group;
         ch.round = static_cast<std::uint32_t>(round);
         ch.participated = static_cast<std::uint32_t>(sg.participated.size());
-        ch.expected = static_cast<std::uint32_t>(inner.world_size() - 1);
+        ch.expected = static_cast<std::uint32_t>(members);
         ch.dropped = static_cast<std::uint32_t>(sg.dropped.size());
         ch.deadline_hit = sg.deadline_hit;
         ch.agg_peak_bytes = group_sum.peak_bytes();
-        ch.seconds = seconds_since(t0);
+        ch.seconds = seconds_since(start.t0);
         obs::Fleet::global().record_combiner(ch);
       }
 
       // Cross-facility tier: partials stream into the root's sum the same
       // way; the root folds in its own group's partial directly.
       ScopedSpan outer_span(Name::Send, s_.node_id, round, frame_buf_.size());
-      if (is_root) root_sum.reset();
-      if (is_root) root_sum.add_partial(frame_buf_);
+      if (is_root) {
+        root_sum.reset();
+        root_sum.add_partial(frame_buf_);
+        total.add(group);
+      }
+      append_metrics(frame_buf_, group);
+      std::fill(leader_metrics.begin(), leader_metrics.end(), RoundMetrics{});
       const auto og = comm::star::gather_bytes_streaming(
           outer, frame_buf_,
-          [&](int /*src*/, tensor::Bytes&& frame) { root_sum.add_partial(frame); },
+          [&](int src, tensor::Bytes&& frame) {
+            leader_metrics[static_cast<std::size_t>(src)] = strip_metrics(frame);
+            root_sum.add_partial(frame);
+          },
           outer_opt);
-      (void)og;
       outer_span.end();
       if (is_root) {
+        for (const int p : og.participated)
+          total.add(leader_metrics[static_cast<std::size_t>(p)]);
         ScopedSpan span(Name::Aggregate, s_.node_id, round, root_sum.count());
         const auto mean = root_sum.finish_mean();
         state.round = round;
@@ -1181,6 +1003,7 @@ NodeReport NodeRuntime::run_hier_leader(comm::Communicator& inner,
         frames = inner.gather_bytes({}, 0);
       }
       frames.erase(frames.begin());
+      for (auto& f : frames) group.add(strip_metrics(f));
       ScopedSpan group_agg_span(Name::Aggregate, s_.node_id, round, frames.size());
       const auto group_mean =
           mean_updates(frames, s_.compressor.get(), s_.privacy.get(), &pool_);
@@ -1193,10 +1016,12 @@ NodeReport NodeRuntime::run_hier_leader(comm::Communicator& inner,
                            outer.world_size(), pool_, frame_buf_, s_.wire_repr);
         span.set_arg(frame_buf_.size());
       }
+      append_metrics(frame_buf_, group);
       ScopedSpan outer_span(Name::Send, s_.node_id, round, frame_buf_.size());
       auto outer_frames = outer.gather_bytes(frame_buf_, 0);
       outer_span.end();
       if (is_root) {
+        for (auto& f : outer_frames) total.add(strip_metrics(f));
         ScopedSpan span(Name::Aggregate, s_.node_id, round, outer_frames.size());
         const auto mean =
             mean_updates(outer_frames, s_.outer_compressor.get(), nullptr, &pool_);
@@ -1204,25 +1029,9 @@ NodeReport NodeRuntime::run_hier_leader(comm::Communicator& inner,
         state.global = algo.server_update(state, mean);
       }
     }
-
-    // Metrics: group sum → outer gather → root records.
-    tensor::Tensor m({4});
-    const auto group_metrics = inner.gather(m, 0);
-    tensor::Tensor group_sum({4});
-    for (std::size_t p = 1; p < group_metrics.size(); ++p) group_sum.add_(group_metrics[p]);
-    const auto all_metrics = outer.gather(group_sum, 0);
-    if (is_root) {
-      tensor::Tensor total({4});
-      for (const auto& gm : all_metrics) total.add_(gm);
-      RoundRecord rec;
-      rec.round = round;
-      rec.seconds = seconds_since(t0);
-      rec.train_loss = total[1] > 0 ? total[0] / total[1] : 0.0;
-      rec.accuracy = total[3] > 0 ? total[2] / total[3] : -1.0f;
-      rec.bytes_up = outer.stats().bytes_received;
-      rec.bytes_down = outer.stats().bytes_sent;
-      report.rounds.push_back(rec);
-    }
+    if (is_root)
+      report.rounds.push_back(
+          record_round(round, start, outer, total.train_loss(), total.accuracy()));
   }
   if (is_root) report.final_model = pack_tensors(state.global);
   return report;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <chrono>
 #include <memory>
 #include <optional>
 #include <string>
@@ -16,6 +17,7 @@
 #include "comm/amqp.hpp"
 #include "comm/inproc.hpp"
 #include "comm/modeled.hpp"
+#include "comm/star.hpp"
 #include "comm/tcp.hpp"
 #include "core/metrics.hpp"
 #include "core/payload.hpp"
@@ -125,16 +127,13 @@ struct NodeSetup {
   WireRepr wire_repr = WireRepr::F32;
 
   // Distributed telemetry plane (obs/, DESIGN.md §9): trainers piggyback a
-  // per-round summary on each update frame (stripped server-side before
-  // decode, so training state never sees it) and ping the coordinator clock
-  // every `obs_clock_sync_every` rounds. Engine-set from the obs config on
-  // every node, so both ends of a link agree on the framing. Active in
-  // centralized and async modes.
+  // per-round TLV summary on each update frame, after the metrics trailer
+  // (stripped server-side before decode, so training state never sees it),
+  // and ping the coordinator clock every `obs_clock_sync_every` rounds.
+  // Engine-set from the obs config on every node, so both ends of a link
+  // agree on the framing. Active in centralized and async modes.
   bool obs_telemetry = false;
   std::size_t obs_clock_sync_every = 0;
-  // Wire format for the piggybacked summary: 2 = TLV (skip-unknown
-  // forward compatible), 1 = frozen fixed layout. Readers accept both.
-  int obs_wire_version = 2;
 
   std::uint64_t seed = 1;
 };
@@ -153,13 +152,24 @@ class NodeRuntime {
   NodeReport run();
 
  private:
+  // How a lockstep hub collects a round's update frames. Both ends of a
+  // link derive it from the same config (fault.enabled), so the collectives
+  // pair up: `All` waits for every client; `DeadlineQuorum` cuts stragglers
+  // at the fault spec's round deadline once a quorum reported.
+  enum class GatherPolicy { All, DeadlineQuorum };
+  GatherPolicy gather_policy() const;
+  comm::star::PartialGather gather_updates(comm::Communicator& inner,
+                                           const tensor::Bytes& mine,
+                                           GatherPolicy policy) const;
+
+  // Lockstep rounds (paper §3.3): the trainer loop (centralized clients
+  // and hierarchical group members) and the centralized aggregator loop.
+  // Each update frame carries its round metrics as a trailer, so one gather
+  // per round moves both; under DeadlineQuorum, trainers also evaluate the
+  // configured fault injections and the hub re-weights the mean around the
+  // dropped clients.
   NodeReport run_trainer(comm::Communicator& inner);
-  NodeReport run_central_aggregator(comm::Communicator& inner);
-  // Fault-tolerant centralized round loops: clients evaluate the configured
-  // fault injections each round; the server aggregates a deadline-gated
-  // partial cohort and re-weights around the dropped clients.
-  NodeReport run_fault_trainer(comm::Communicator& inner);
-  NodeReport run_fault_aggregator(comm::Communicator& inner);
+  NodeReport run_central_aggregator(comm::Communicator& inner, GatherPolicy policy);
   NodeReport run_ring_node(comm::Communicator& inner);
   NodeReport run_hier_leader(comm::Communicator& inner, comm::Communicator& outer);
   // Serving tier (src/serve/, DESIGN.md §14): the coordinator samples a
@@ -170,11 +180,39 @@ class NodeRuntime {
   NodeReport run_serve_aggregator(comm::Communicator& inner);
   NodeReport run_serve_trainer(comm::Communicator& inner);
 
-  // Shared trainer-side round body; encodes the update into `frame_out`
-  // (a reused buffer, so steady-state rounds do not allocate).
-  void train_one_round(const std::vector<tensor::Tensor>& global, std::size_t round,
-                       algorithms::TrainStats& stats_out, tensor::Bytes& frame_out);
-  tensor::Tensor metrics_tensor(const algorithms::TrainStats& stats, std::size_t round);
+  // The local-training steps every trainer loop shares: adopt the global
+  // model for `round`, then one timed local_train (plus the configured
+  // compute slowdown).
+  void apply_global(const std::vector<tensor::Tensor>& global, std::size_t round);
+  algorithms::TrainStats train_local(std::size_t round);
+  // Lockstep trainer round body; encodes the update into frame_buf_
+  // (reused, so steady-state rounds do not allocate).
+  algorithms::TrainStats train_one_round(const std::vector<tensor::Tensor>& global,
+                                         std::size_t round);
+  // Encode `payload` into frame_buf_, or a skip frame when numeric
+  // admission rejects it: the aggregator then drops this client for the
+  // round like a non-participant instead of letting one poisoned coordinate
+  // spread through the aggregate.
+  void encode_or_skip(const std::vector<tensor::Tensor>& payload,
+                      privacy::PrivacyMechanism* privacy, std::size_t round);
+  RoundMetrics round_metrics(const algorithms::TrainStats& stats, std::size_t round);
+
+  // Start-of-round snapshot; record_round reports wall time and bytes as
+  // deltas against it, so every mode's RoundRecord is per-round.
+  struct RoundStart {
+    std::chrono::steady_clock::time_point t0;
+    comm::CommStats stats;
+  };
+  static RoundStart round_start(const comm::Communicator& link);
+  // The one RoundRecord builder. `link` is the root's link for the round's
+  // byte deltas (the outer tier on the hierarchical root); `gather` is the
+  // lockstep hub's participation record, if any. Mirrors the record into
+  // the fleet's RoundHealth when telemetry is on.
+  RoundRecord record_round(std::size_t round, const RoundStart& start,
+                           const comm::Communicator& link, double train_loss,
+                           float accuracy, double aggregate_seconds = 0.0,
+                           const comm::star::PartialGather* gather = nullptr);
+
   // Deterministic partial-participation schedule (same on every node).
   bool selected_this_round(std::size_t round) const;
   // Inject the configured compute slowdown for `train_seconds` of real work.

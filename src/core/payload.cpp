@@ -278,20 +278,14 @@ void StreamingSum::add(ConstByteSpan frame, double weight) {
 void StreamingSum::add_partial(ConstByteSpan partial) {
   std::size_t off = 0;
   PartialHeader hdr;
-  // v2 partials open with the "OFP2" magic; the v1 form is a bare u64
-  // count, whose low word would only collide with the magic at an absurd
-  // ~845M-client contribution count.
-  if (partial.size() >= 8 &&
-      tensor::read_pod<std::uint32_t>(partial, off) == kPartialMagic) {
-    const auto hlen = tensor::read_pod<std::uint32_t>(partial, off);
-    OF_CHECK_MSG(off + hlen <= partial.size(), "partial header truncated");
-    OF_CHECK_MSG(refl::tlv::decode(hdr, partial.data() + off, hlen),
-                 "partial header malformed");
-    off += hlen;
-  } else {
-    off = 0;
-    hdr.count = tensor::read_pod<std::uint64_t>(partial, off);
-  }
+  OF_CHECK_MSG(partial.size() >= 8 &&
+                   tensor::read_pod<std::uint32_t>(partial, off) == kPartialMagic,
+               "combiner partial without the OFP2 header");
+  const auto hlen = tensor::read_pod<std::uint32_t>(partial, off);
+  OF_CHECK_MSG(hlen <= partial.size() - off, "partial header truncated");
+  OF_CHECK_MSG(refl::tlv::decode(hdr, partial.data() + off, hlen),
+               "partial header malformed");
+  off += hlen;
   if (hdr.count == 0) return;  // empty combiner: its body is a skip marker
   add_update_frame(partial.subspan(off), 1.0);
   count_ += static_cast<std::size_t>(hdr.count);
@@ -356,6 +350,20 @@ PayloadConfig PayloadConfig::from_config(const config::ConfigNode& node, bool st
 }
 
 Bytes pack_tensors(const std::vector<Tensor>& ts) { return tensor::serialize_tensors(ts); }
+
+static_assert(sizeof(RoundMetrics) == kMetricsTrailerBytes, "trailer is four packed f32");
+
+void append_metrics(Bytes& frame, const RoundMetrics& m) { tensor::append_pod(frame, m); }
+
+RoundMetrics strip_metrics(Bytes& frame) {
+  OF_CHECK_MSG(frame.size() >= kMetricsTrailerBytes,
+               "update frame shorter than its " << kMetricsTrailerBytes
+                                                << "-byte metrics trailer");
+  std::size_t off = frame.size() - kMetricsTrailerBytes;
+  const auto m = tensor::read_pod<RoundMetrics>(frame, off);
+  frame.resize(frame.size() - kMetricsTrailerBytes);
+  return m;
+}
 
 Bytes encode_skip_update() { return Bytes{kSkip}; }
 

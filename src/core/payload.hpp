@@ -114,10 +114,43 @@ std::vector<Tensor> robust_combine(const std::vector<Bytes>& frames,
                                    AggregationRule rule, double trim = 0.1,
                                    FramePool* pool = nullptr);
 
+// Per-round training metrics. Every star-link update frame (lockstep client
+// updates, combiner partials and collect frames, serve Update/Final) ends
+// in them as a fixed 16-byte trailer, placed before the optional telemetry
+// tail:
+//
+//   f32 loss_sum | f32 steps | f32 acc_sum | f32 acc_n
+//
+// Receivers strip it with one resize, the same way as the telemetry tail,
+// so no update frame is copied and aggregation sees the bare payload frame.
+// T is the fold type: f32 on the wire and in the combiner tree, double in
+// the centralized and serve loops. Lockstep folds run in rank order, never
+// arrival order, so their sums are bitwise reproducible.
+template <class T>
+struct MetricSums {
+  T loss_sum = 0, steps = 0, acc_sum = 0, acc_n = 0;
+
+  template <class U>
+  void add(const MetricSums<U>& m) {
+    loss_sum += m.loss_sum;
+    steps += m.steps;
+    acc_sum += m.acc_sum;
+    acc_n += m.acc_n;
+  }
+  double train_loss() const { return steps > 0 ? loss_sum / steps : 0.0; }
+  float accuracy() const { return acc_n > 0 ? static_cast<float>(acc_sum / acc_n) : -1.0f; }
+};
+using RoundMetrics = MetricSums<float>;
+inline constexpr std::size_t kMetricsTrailerBytes = 4 * sizeof(float);
+
+void append_metrics(Bytes& frame, const RoundMetrics& m);
+// Pop the trailer off `frame`. A frame shorter than the trailer is
+// rejected with an error naming it.
+RoundMetrics strip_metrics(Bytes& frame);
+
 // Header of a combiner partial frame (the metadata ahead of the summed
-// update body). v2 frames carry it as TLV behind an "OFP2" magic so new
-// header fields are skipped by older decoders; v1 frames are a bare
-// u64 count (still accepted). Tags are wire ABI — append only.
+// update body), carried as TLV behind an "OFP2" magic so new header fields
+// are skipped by older decoders. Tags are wire ABI — append only.
 struct PartialHeader {
   std::uint64_t count = 0;  // client contributions folded into the body
   // Wire repr of a *plain* body (mode 0/4); compressed bodies keep F32 here
@@ -149,9 +182,9 @@ class StreamingSum {
   void add_partial(ConstByteSpan partial);
   // Emit `scale × sum` plus the header as a partial frame:
   //   u32 "OFP2" | u32 header_len | TLV(PartialHeader) | update frame
-  // (skip marker body when count == 0). add_partial also accepts the v1
-  // form `u64 count | update frame`. With repr == F16 (and no compressor)
-  // the body is a plain-f16 frame, announced via the header's repr field.
+  // (skip marker body when count == 0). With repr == F16 (and no
+  // compressor) the body is a plain-f16 frame, announced via the header's
+  // repr field.
   void encode_partial_into(double scale, compression::Compressor* compressor,
                            Bytes& out, WireRepr repr = WireRepr::F32);
   // sum / count in the original tensor-list structure. Consumes the

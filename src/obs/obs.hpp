@@ -47,10 +47,6 @@ struct ObsConfig {
   // Additionally write one per-node trace "<trace_path>.rank<N>.json"
   // besides the merged file.
   bool split_trace_per_node = false;
-  // Telemetry tail wire format: 2 = TLV (versioned, skip-unknown forward
-  // compatible, DESIGN.md §13), 1 = the fixed 216-byte legacy layout.
-  // Readers accept both regardless of this setting.
-  int telemetry_wire = 2;
 
   // Tier-two observability (DESIGN.md §16): the SIGPROF sampling profiler
   // and the crash/deadline flight recorder. Nested reflected groups so
@@ -76,7 +72,7 @@ struct of::refl::Reflect<of::obs::ObsConfig> {
       field("telemetry", &of::obs::ObsConfig::telemetry, 6),
       field("clock_sync_rounds", &of::obs::ObsConfig::clock_sync_rounds, 7),
       field("split_trace_per_node", &of::obs::ObsConfig::split_trace_per_node, 8),
-      field("telemetry_wire", &of::obs::ObsConfig::telemetry_wire, 9).ge(1).le(2),
+      // Tag 9 (the retired `telemetry_wire` knob) stays reserved.
       field("profile", &of::obs::ObsConfig::profile, 10).skip_export(),
       field("flightrec", &of::obs::ObsConfig::flightrec, 11).skip_export())
 };

@@ -12,10 +12,8 @@
 namespace of::obs {
 namespace {
 
-constexpr std::uint32_t kTelemetryMagic = 0x4F46544Cu;  // "OFTL"
-constexpr std::uint16_t kTelemetryVersion = 1;
-// v2 trailer: [TLV payload][u32 payload_len][u16 version][u16 rsvd][u32 magic],
-// parsed from the frame end like v1.
+// Tail layout: [TLV payload][u32 payload_len][u16 version][u16 rsvd][u32 magic],
+// parsed from the frame end.
 constexpr std::uint32_t kTlvTailMagic = 0x3254464Fu;  // "OFT2"
 constexpr std::uint16_t kTlvVersion = 2;
 constexpr std::size_t kTlvTrailerBytes = 12;
@@ -26,12 +24,6 @@ void put_u16(AlignedBytes& out, std::uint16_t v) {
 }
 void put_u32(AlignedBytes& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-void put_u64(AlignedBytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-void put_i64(AlignedBytes& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
 }
 
 std::uint16_t get_u16(const std::uint8_t*& p) {
@@ -44,15 +36,6 @@ std::uint32_t get_u32(const std::uint8_t*& p) {
   for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
   p += 4;
   return v;
-}
-std::uint64_t get_u64(const std::uint8_t*& p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  p += 8;
-  return v;
-}
-std::int64_t get_i64(const std::uint8_t*& p) {
-  return static_cast<std::int64_t>(get_u64(p));
 }
 
 // One Prometheus sample value: bools as 0/1, doubles through prom_double,
@@ -97,32 +80,6 @@ void prom_families(std::ostream& os, const char* prefix, const char* label_key,
 
 }  // namespace
 
-void TelemetrySummary::serialize_to(AlignedBytes& out) const {
-  const std::size_t before = out.size();
-  put_u32(out, kTelemetryMagic);
-  put_u16(out, kTelemetryVersion);
-  put_u16(out, 0);  // reserved
-  put_u64(out, trace_id);
-  put_u32(out, rank);
-  put_u32(out, round);
-  put_i64(out, clock_offset_ns);
-  put_i64(out, rtt_ns);
-  put_u64(out, bytes_sent);
-  put_u64(out, bytes_received);
-  put_u64(out, pool_hits);
-  put_u64(out, pool_misses);
-  put_u64(out, reconnects);
-  put_u64(out, frames_dropped);
-  put_u64(out, faults_injected);
-  for (std::size_t i = 0; i < kPhaseCount; ++i) {
-    put_u64(out, phases[i].count);
-    put_u64(out, phases[i].total_ns);
-    put_u64(out, phases[i].max_ns);
-  }
-  (void)before;
-  static_assert(TelemetrySummary::kWireBytes == 216, "wire layout drifted");
-}
-
 void TelemetrySummary::serialize_tlv_to(AlignedBytes& out) const {
   refl::tlv::Bytes payload;
   refl::tlv::encode(*this, payload);
@@ -135,47 +92,19 @@ void TelemetrySummary::serialize_tlv_to(AlignedBytes& out) const {
 
 std::optional<TelemetrySummary> TelemetrySummary::parse_tail(
     const std::uint8_t* data, std::size_t len, std::size_t* tail_bytes) {
-  // v2: fixed trailer at the very end, TLV payload just before it.
-  if (len >= kTlvTrailerBytes) {
-    const std::uint8_t* p = data + (len - kTlvTrailerBytes);
-    const std::uint32_t payload_len = get_u32(p);
-    const std::uint16_t version = get_u16(p);
-    get_u16(p);  // reserved
-    if (get_u32(p) == kTlvTailMagic && version == kTlvVersion &&
-        len - kTlvTrailerBytes >= payload_len) {
-      TelemetrySummary s;
-      if (!refl::tlv::decode(s, data + (len - kTlvTrailerBytes - payload_len),
-                             payload_len))
-        return std::nullopt;
-      if (tail_bytes) *tail_bytes = kTlvTrailerBytes + payload_len;
-      return s;
-    }
-  }
-  // v1 fallback: the frozen 216-byte fixed layout.
-  if (len < kWireBytes) return std::nullopt;
-  const std::uint8_t* p = data + (len - kWireBytes);
-  if (get_u32(p) != kTelemetryMagic) return std::nullopt;
-  if (get_u16(p) != kTelemetryVersion) return std::nullopt;
+  // Fixed trailer at the very end, TLV payload just before it.
+  if (len < kTlvTrailerBytes) return std::nullopt;
+  const std::uint8_t* p = data + (len - kTlvTrailerBytes);
+  const std::uint32_t payload_len = get_u32(p);
+  const std::uint16_t version = get_u16(p);
   get_u16(p);  // reserved
+  if (get_u32(p) != kTlvTailMagic || version != kTlvVersion ||
+      len - kTlvTrailerBytes < payload_len)
+    return std::nullopt;
   TelemetrySummary s;
-  s.trace_id = get_u64(p);
-  s.rank = get_u32(p);
-  s.round = get_u32(p);
-  s.clock_offset_ns = get_i64(p);
-  s.rtt_ns = get_i64(p);
-  s.bytes_sent = get_u64(p);
-  s.bytes_received = get_u64(p);
-  s.pool_hits = get_u64(p);
-  s.pool_misses = get_u64(p);
-  s.reconnects = get_u64(p);
-  s.frames_dropped = get_u64(p);
-  s.faults_injected = get_u64(p);
-  for (std::size_t i = 0; i < kPhaseCount; ++i) {
-    s.phases[i].count = get_u64(p);
-    s.phases[i].total_ns = get_u64(p);
-    s.phases[i].max_ns = get_u64(p);
-  }
-  if (tail_bytes) *tail_bytes = kWireBytes;
+  if (!refl::tlv::decode(s, data + (len - kTlvTrailerBytes - payload_len), payload_len))
+    return std::nullopt;
+  if (tail_bytes) *tail_bytes = kTlvTrailerBytes + payload_len;
   return s;
 }
 

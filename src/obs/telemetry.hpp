@@ -2,7 +2,7 @@
 // piggybacks on its update frame, and the coordinator-side fleet view
 // built from those summaries (DESIGN.md §9).
 //
-// The summary is a fixed-size little-endian blob appended to the *end* of
+// The summary is a TLV blob with a fixed trailer, appended to the *end* of
 // an update frame, so the coordinator strips it with one resize and the
 // training payload bytes are untouched — telemetry can never feed back
 // into aggregation, which is what keeps the threads=1-vs-4 bitwise
@@ -51,35 +51,22 @@ struct TelemetrySummary {
   std::uint64_t faults_injected = 0; // cumulative, client-side injections
   PhaseDigest phases[kPhaseCount];
   // Peak resident set of the reporting process (getrusage ru_maxrss), kB.
-  // v2-wire only: the frozen v1 fixed layout predates it.
   std::uint64_t peak_rss_kb = 0;
   // The client's open round span id when the summary was built — the
-  // attribution engine's exemplar link into the merged trace. v2-wire
-  // only; 0 when tracing is off or the sender predates the field.
+  // attribution engine's exemplar link into the merged trace. 0 when
+  // tracing is off or the sender predates the field.
   std::uint64_t round_span_id = 0;
 
-  // Wire size of the *v1* fixed-layout blob (fields + magic/version
-  // header). The v1 layout is frozen — new fields ride the v2 TLV wire.
-  static constexpr std::size_t kWireBytes =
-      4 + 2 + 2 +                    // magic, version, reserved
-      8 + 4 + 4 +                    // trace_id, rank, round
-      8 + 8 +                        // clock offset, rtt
-      8 * 7 +                        // byte/pool/reconnect/drop/fault counters
-      kPhaseCount * 3 * 8;           // phase digests
-
-  // Append the fixed-size v1 blob to `out` (always exactly kWireBytes).
-  void serialize_to(AlignedBytes& out) const;
-
-  // Append the v2 blob: the TLV records of every descriptor field
-  // followed by a fixed 12-byte trailer (payload_len, version, magic) so
-  // the coordinator can strip a variable-size tail from the frame end.
-  // Unknown tags are skipped on decode, so mixed-version fleets
-  // interoperate in both directions (DESIGN.md §13).
+  // Append the blob: the TLV records of every descriptor field followed by
+  // a fixed 12-byte trailer (payload_len, version, magic) so the
+  // coordinator can strip a variable-size tail from the frame end. Unknown
+  // tags are skipped on decode, so mixed-version fleets interoperate in
+  // both directions (DESIGN.md §13).
   void serialize_tlv_to(AlignedBytes& out) const;
 
-  // Parse a blob from the tail of [data, data+len): first the v2 TLV
-  // trailer, then the fixed v1 layout as fallback. Returns nullopt if the
-  // buffer is too short or no magic/version matches. On success,
+  // Parse a blob from the tail of [data, data+len). Returns nullopt if the
+  // buffer is too short, the magic/version does not match, or the TLV
+  // records are malformed. On success,
   // *tail_bytes (when given) receives the byte count the tail occupies —
   // what the caller must strip off the frame.
   static std::optional<TelemetrySummary> parse_tail(const std::uint8_t* data,

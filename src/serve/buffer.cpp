@@ -38,7 +38,8 @@ StalenessBuffer::Admission StalenessBuffer::offer(tensor::ConstByteSpan frame,
 
 std::vector<tensor::Tensor> StalenessBuffer::drain() {
   OF_CHECK_MSG(size_ > 0, "staleness buffer drained with no accepted updates");
-  auto mean = sum_.finish_mean();
+  std::vector<tensor::Tensor> mean;
+  if (sum_.count() > 0) mean = sum_.finish_mean();
   sum_.reset();
   size_ = 0;
   ++drains_;

@@ -46,6 +46,8 @@ class StalenessBuffer {
 
   // Mean of the buffered weighted updates, in the payload's tensor-list
   // structure; resets the buffer for the next window. size() must be > 0.
+  // A window of skip frames only (numeric admission rejected every update)
+  // drains to an empty list: no model change, but the window still closes.
   std::vector<tensor::Tensor> drain();
 
   // Run counters (cumulative, not reset by drain()).

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 
 #include "config/yaml.hpp"
@@ -72,6 +73,53 @@ TEST(Engine, HierarchicalTopologyLearns) {
   ASSERT_EQ(r.rounds.size(), 3u);
   EXPECT_GT(r.final_accuracy, 0.5f);
   EXPECT_GT(r.outer_comm.bytes_sent, 0u);
+}
+
+ConfigNode hierarchical_config() {
+  ConfigNode cfg = base_config();
+  cfg.set_path("topology._target_", ConfigNode::string("HierarchicalTopology"));
+  cfg.set_path("topology.groups", ConfigNode::integer(2));
+  cfg.set_path("topology.group_size", ConfigNode::integer(2));
+  cfg.set_path("topology.outer_comm._target_",
+               ConfigNode::string("TorchDistCommunicator"));
+  return cfg;
+}
+
+TEST(Engine, HierarchicalRecordsPerRoundBytes) {
+  // Every round moves the same partial frames over the outer tier, so a
+  // per-round (not cumulative) byte count is flat across rounds.
+  Engine engine(hierarchical_config());
+  const RunResult r = engine.run();
+  ASSERT_EQ(r.rounds.size(), 3u);
+  EXPECT_GT(r.rounds[0].bytes_up, 0u);
+  for (const auto& rec : r.rounds) {
+    EXPECT_EQ(rec.bytes_up, r.rounds[0].bytes_up) << "round " << rec.round;
+    EXPECT_EQ(rec.bytes_down, r.rounds[0].bytes_down) << "round " << rec.round;
+  }
+}
+
+TEST(Engine, HierarchicalCombinerDeadlineShortensRounds) {
+  // One trainer of group 1 is slowed far past the combiner deadline. Its
+  // update is cut each round, and nothing else may wait for it either: the
+  // root's rounds stay near the deadline while the straggler's own rounds
+  // (which bound the whole run) take seconds.
+  ConfigNode cfg = hierarchical_config();
+  cfg.set_path("algorithm.global_rounds", ConfigNode::integer(2));
+  cfg.set_path("eval_every", ConfigNode::integer(0));
+  cfg.set_path("topology.combiner.deadline_seconds", ConfigNode::floating(0.2));
+  cfg.set_path("topology.combiner.min_clients", ConfigNode::integer(1));
+  ConfigNode slow = ConfigNode::list();
+  for (double f : {1.0, 1.0, 1.0, 8000.0}) slow.push_back(ConfigNode::floating(f));
+  cfg.set_path("heterogeneity.slowdowns", slow);
+  Engine engine(cfg);
+  const RunResult r = engine.run();
+  ASSERT_EQ(r.rounds.size(), 2u);
+  const double straggler_round = r.total_seconds / 2.0;
+  ASSERT_GT(straggler_round, 0.5) << "slowdown too small to pass the deadline";
+  for (const auto& rec : r.rounds) {
+    EXPECT_LT(rec.seconds, 0.5 * straggler_round) << "round " << rec.round;
+    EXPECT_TRUE(std::isfinite(rec.train_loss));
+  }
 }
 
 TEST(Engine, CompressionViaPaperFig4Placement) {

@@ -302,6 +302,33 @@ TEST(EngineFault, CrashWithQuorumCompletesAllRounds) {
   EXPECT_NEAR(r.final_accuracy, cr.final_accuracy, 0.15f);
 }
 
+TEST(EngineFault, NoInjectionsIsBitwiseIdenticalToFaultOff) {
+  // With nothing to cut, the deadline-quorum round loop must reproduce the
+  // plain one byte for byte: the survivor re-weighting is exactly 1 when
+  // the whole cohort the hub serves (here six clients) reported.
+  auto run = [](bool fault_on) {
+    ConfigNode cfg = faulty_config(fault_on ? R"(fault:
+  enabled: true
+  min_clients: 1
+  round_deadline_seconds: 30.0
+)"
+                                            : "");
+    cfg.set_path("topology.num_clients", ConfigNode::integer(6));
+    Engine engine(cfg);
+    return engine.run();
+  };
+  const RunResult on = run(true);
+  const RunResult off = run(false);
+  ASSERT_FALSE(off.final_model_bytes.empty());
+  EXPECT_TRUE(on.final_model_bytes == off.final_model_bytes)
+      << "fault mode perturbed an injection-free run";
+  ASSERT_EQ(on.rounds.size(), off.rounds.size());
+  for (std::size_t i = 0; i < on.rounds.size(); ++i) {
+    EXPECT_EQ(on.rounds[i].train_loss, off.rounds[i].train_loss) << "round " << i;
+    EXPECT_EQ(on.rounds[i].accuracy, off.rounds[i].accuracy) << "round " << i;
+  }
+}
+
 TEST(EngineFault, CrashOverTcpBackend) {
   ConfigNode cfg = faulty_config(kCrashBlock);
   cfg.set_path("topology.inner_comm._target_", ConfigNode::string("GrpcCommunicator"));

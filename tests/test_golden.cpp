@@ -83,10 +83,20 @@ void use_ring(ConfigNode& cfg) {
   set(cfg, "topology._target_", ConfigNode::string("RingTopology"));
   set(cfg, "topology.num_nodes", ConfigNode::integer(4));
 }
+// Fault model on, nothing injected: every round takes the deadline-quorum
+// gather, and nobody misses the (generous) deadline.
+void use_fault(ConfigNode& cfg) {
+  set(cfg, "fault.enabled", ConfigNode::boolean(true));
+  set(cfg, "fault.min_clients", ConfigNode::integer(1));
+  set(cfg, "fault.round_deadline_seconds", ConfigNode::floating(30.0));
+}
 void use_hierarchical(ConfigNode& cfg) {
   set(cfg, "topology._target_", ConfigNode::string("HierarchicalTopology"));
   set(cfg, "topology.groups", ConfigNode::integer(2));
-  set(cfg, "topology.group_size", ConfigNode::integer(3));
+  // Two trainers per group and two groups: every fold sums at most two
+  // frames, and IEEE addition is commutative, so arrival order cannot
+  // reach the metric bits.
+  set(cfg, "topology.group_size", ConfigNode::integer(2));
   set(cfg, "topology.outer_comm._target_", ConfigNode::string("TorchDistCommunicator"));
 }
 
@@ -214,11 +224,45 @@ TEST(Golden, ServeSyncAndDeterministicFedBuff) {
 
 TEST(Golden, HierarchicalColumns) {
   const Cell cells[] = {
-      {"hier/plain", use_hierarchical, false, 0x91636F6E00D9432BULL},
-      {"hier/dp", both(use_hierarchical, use_dp), false, 0xBB6B2697A57B7C86ULL},
-      {"hier/topk", both(use_hierarchical, use_topk), false, 0x02C54275D16157B7ULL},
+      {"hier/plain", use_hierarchical, false, 0x4F586B2336E3654BULL},
+      {"hier/dp", both(use_hierarchical, use_dp), false, 0x8CB82F7FFC6DC8B3ULL},
+      {"hier/topk", both(use_hierarchical, use_topk), false, 0xF00FC00AEB3819A3ULL},
   };
   for (const auto& c : cells) check_cell(c);
+}
+
+TEST(Golden, FaultCellsMatchTheirFaultOffTwins) {
+  // No golden of their own: an injection-free fault run must hash exactly
+  // like the fault-off cell it shadows.
+  const Cell cells[] = {
+      {"fault/inproc/plain", use_fault, true, 0x711CF7E4EF72B9B5ULL},
+      {"fault/inproc/dp", both(use_fault, use_dp), true, 0x29DEFAB29A216E3AULL},
+      {"fault/inproc/median", both(use_fault, use_median), true, 0xB9C3B760AFEB0B17ULL},
+      {"fault/tcp/plain", both(use_fault, use_tcp), true, 0x711CF7E4EF72B9B5ULL},
+      {"fault/tcp/qsgd8", both(use_fault, both(use_tcp, use_qsgd8)), true,
+       0x09895887C6A08FC4ULL},
+      {"fault/tcp/topk", both(use_fault, both(use_tcp, use_topk)), true,
+       0x8F499133275BF18DULL},
+  };
+  for (const auto& c : cells) check_cell(c);
+}
+
+TEST(Golden, CrashOneCompletesWithFiniteMetrics) {
+  // The shipped crash_one group over TCP: client 1 powers off in round 1
+  // and every later round aggregates the survivors.
+  ConfigNode cfg = base_config();
+  use_tcp(cfg);
+  set(cfg, "defaults", parse_yaml("d:\n  - fault: crash_one\n").at("d"));
+  set(cfg, "fault.round_deadline_seconds", ConfigNode::floating(0.5));
+  Engine engine(of::config::compose_from(std::move(cfg), OF_CONFIGS_DIR));
+  const RunResult r = engine.run();
+  ASSERT_EQ(r.rounds.size(), 3u);
+  EXPECT_EQ(r.rounds[0].participated, 4u);
+  for (const auto& rec : r.rounds) {
+    EXPECT_TRUE(std::isfinite(rec.train_loss)) << "round " << rec.round;
+    EXPECT_GE(rec.accuracy, 0.0f) << "round " << rec.round;
+  }
+  EXPECT_EQ(r.rounds[2].dropped_ranks, (std::vector<int>{1}));
 }
 
 }  // namespace

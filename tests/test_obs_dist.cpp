@@ -137,10 +137,11 @@ TEST(Telemetry, SummaryRoundTripsThroughFrameTail) {
   // The blob rides at the end of a payload frame, exactly like the wire.
   of::AlignedBytes frame(137, 0x5A);
   const std::size_t payload_len = frame.size();
-  t.serialize_to(frame);
-  ASSERT_EQ(frame.size(), payload_len + TelemetrySummary::kWireBytes);
-  const auto got = TelemetrySummary::parse_tail(frame.data(), frame.size());
+  t.serialize_tlv_to(frame);
+  std::size_t tail = 0;
+  const auto got = TelemetrySummary::parse_tail(frame.data(), frame.size(), &tail);
   ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(tail, frame.size() - payload_len);
   EXPECT_EQ(got->trace_id, t.trace_id);
   EXPECT_EQ(got->rank, t.rank);
   EXPECT_EQ(got->round, t.round);
@@ -162,9 +163,10 @@ TEST(Telemetry, SummaryRoundTripsThroughFrameTail) {
 
 TEST(Telemetry, ParseTailRejectsShortOrCorruptBuffers) {
   of::AlignedBytes frame;
-  make_summary().serialize_to(frame);
+  make_summary().serialize_tlv_to(frame);
   EXPECT_FALSE(TelemetrySummary::parse_tail(frame.data(), frame.size() - 1).has_value());
-  frame[frame.size() - TelemetrySummary::kWireBytes] ^= 0xFF;  // break the magic
+  EXPECT_FALSE(TelemetrySummary::parse_tail(frame.data(), 11).has_value());
+  frame[frame.size() - 1] ^= 0xFF;  // break the magic
   EXPECT_FALSE(TelemetrySummary::parse_tail(frame.data(), frame.size()).has_value());
 }
 

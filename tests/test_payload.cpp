@@ -6,7 +6,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <string>
 
 #include "common/nonfinite.hpp"
 #include "simd/simd.hpp"
@@ -249,6 +251,75 @@ TEST(PayloadMalformed, HostileSerializedTensorRejected) {
   of::tensor::append_pod<std::uint32_t>(b2, 1);  // ndim
   of::tensor::append_pod<std::uint64_t>(b2, std::uint64_t{1} << 50);
   EXPECT_THROW((void)of::core::unpack_tensors(b2), std::runtime_error);
+}
+
+// Expect `fn` to throw a runtime_error whose message names the defect.
+void expect_named_rejection(const std::function<void()>& fn, const std::string& name) {
+  try {
+    fn();
+    ADD_FAILURE() << "accepted a malformed frame (expected: " << name << ")";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+  }
+}
+
+TEST(PayloadMalformed, FrameShorterThanMetricsTrailerRejected) {
+  of::core::RoundMetrics m;
+  m.loss_sum = 1.5f;
+  m.steps = 3.0f;
+  Bytes frame = of::core::encode_skip_update();
+  of::core::append_metrics(frame, m);
+  ASSERT_EQ(frame.size(), 1 + of::core::kMetricsTrailerBytes);
+  Bytes copy = frame;
+  const auto got = of::core::strip_metrics(copy);
+  EXPECT_EQ(got.loss_sum, 1.5f);
+  EXPECT_EQ(got.steps, 3.0f);
+  EXPECT_TRUE(of::core::is_skip_update(copy));
+
+  for (std::size_t len = 0; len < of::core::kMetricsTrailerBytes; ++len) {
+    Bytes cut(frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(len));
+    expect_named_rejection([&] { (void)of::core::strip_metrics(cut); }, "metrics trailer");
+    EXPECT_EQ(cut.size(), len) << "a rejected frame must be left untouched";
+  }
+}
+
+Bytes two_client_partial(of::core::FramePool& pool) {
+  of::core::StreamingSum sum(pool);
+  sum.add(of::core::encode_update(make_payload(2, 90), 1.0, {}, 0, 2));
+  sum.add(of::core::encode_update(make_payload(2, 91), 1.0, {}, 1, 2));
+  Bytes partial;
+  sum.encode_partial_into(1.0, nullptr, partial);
+  return partial;
+}
+
+TEST(PayloadMalformed, TruncatedPartialHeaderRejected) {
+  of::core::FramePool pool;
+  const Bytes partial = two_client_partial(pool);
+  // Cut inside the TLV header: magic and header_len survive, the header
+  // bytes they announce do not.
+  Bytes cut(partial.begin(), partial.begin() + 10);
+  of::core::StreamingSum root(pool);
+  expect_named_rejection([&] { root.add_partial(cut); }, "partial header truncated");
+  // A header_len pointing past the frame end is the same defect.
+  Bytes lying = partial;
+  lying[4] = 0xFF;
+  lying[5] = 0xFF;
+  expect_named_rejection([&] { root.add_partial(lying); }, "partial header truncated");
+  EXPECT_EQ(root.count(), 0u);
+}
+
+TEST(PayloadMalformed, LegacyBareCountPartialRejected) {
+  // The retired v1 partial: u64 count | update frame, no OFP2 header.
+  Bytes legacy;
+  of::tensor::append_pod<std::uint64_t>(legacy, 2);
+  const Bytes body = of::core::encode_update(make_payload(2, 92), 1.0, {}, 0, 1);
+  legacy.insert(legacy.end(), body.begin(), body.end());
+  of::core::FramePool pool;
+  of::core::StreamingSum root(pool);
+  expect_named_rejection([&] { root.add_partial(legacy); }, "without the OFP2 header");
+  Bytes tiny(3, 0x4F);  // shorter than the magic itself
+  expect_named_rejection([&] { root.add_partial(tiny); }, "without the OFP2 header");
+  EXPECT_EQ(root.count(), 0u);
 }
 
 // --- weight scaling precision ---------------------------------------------------

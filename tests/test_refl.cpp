@@ -381,21 +381,9 @@ TEST(ReflTelemetry, TlvTailRoundTripsIncludingNewField) {
   EXPECT_EQ(got->rank, t.rank);
   EXPECT_EQ(got->round, t.round);
   EXPECT_EQ(got->clock_offset_ns, t.clock_offset_ns);
-  // peak_rss_kb exists only on the v2 wire — the field added to prove the
-  // one-edit-per-new-field contract.
+  // peak_rss_kb is the field added to prove the one-edit-per-new-field
+  // contract.
   EXPECT_EQ(got->peak_rss_kb, 123'456u);
-}
-
-TEST(ReflTelemetry, V1FixedTailStillParsesButDropsV2Fields) {
-  TelemetrySummary t = sample_summary();
-  of::AlignedBytes frame;
-  t.serialize_to(frame);  // legacy fixed layout
-  std::size_t tail = 0;
-  const auto got = TelemetrySummary::parse_tail(frame.data(), frame.size(), &tail);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(tail, TelemetrySummary::kWireBytes);
-  EXPECT_EQ(got->rank, t.rank);
-  EXPECT_EQ(got->peak_rss_kb, 0u);  // not part of the frozen v1 layout
 }
 
 TEST(ReflTelemetry, FutureFieldInTailIsSkippedByCurrentReader) {
@@ -426,7 +414,7 @@ TEST(ReflTelemetry, FutureFieldInTailIsSkippedByCurrentReader) {
 
 // --- combiner partial header ---------------------------------------------------
 
-TEST(ReflPartial, V2HeaderRoundTripsAndLegacyU64StillDecodes) {
+TEST(ReflPartial, V2HeaderRoundTrips) {
   using of::core::FramePool;
   using of::core::StreamingSum;
   using of::tensor::Tensor;
@@ -456,16 +444,6 @@ TEST(ReflPartial, V2HeaderRoundTripsAndLegacyU64StillDecodes) {
   ASSERT_EQ(mean.size(), 1u);
   EXPECT_FLOAT_EQ(mean[0][0], 1.0f);
 
-  // Legacy v1 partial: bare u64 count | update frame. Still accepted.
-  of::tensor::Bytes legacy;
-  const std::uint64_t count = 2;
-  for (int i = 0; i < 8; ++i)
-    legacy.push_back(static_cast<std::uint8_t>(count >> (8 * i)));
-  const auto frame2 = of::core::encode_update(update, 2.0, {}, 0, 1);
-  legacy.insert(legacy.end(), frame2.begin(), frame2.end());
-  StreamingSum old_style(pool);
-  old_style.add_partial(legacy);
-  EXPECT_EQ(old_style.count(), 2u);
 }
 
 // --- engine strict-config gate -------------------------------------------------
@@ -509,15 +487,28 @@ TEST(StrictConfig, OptOutAllowsUnknownKeys) {
 TEST(StrictConfig, EffectiveConfigMaterializesReflectedDefaults) {
   const ConfigNode eff = of::core::effective_config(tiny_config());
   EXPECT_TRUE(eff.at("exec").has("threads"));
-  EXPECT_TRUE(eff.at("obs").has("telemetry_wire"));
-  EXPECT_EQ(eff.at("obs").at("telemetry_wire").as_int(), 2);
+  EXPECT_TRUE(eff.at("obs").has("clock_sync_rounds"));
+  EXPECT_EQ(eff.at("obs").at("clock_sync_rounds").as_int(), 8);
   EXPECT_TRUE(eff.at("fault").has("reconnect"));
   EXPECT_TRUE(eff.at("fault").at("reconnect").has("max_attempts"));
   // User-set values survive the merge.
   EXPECT_EQ(eff.at("seed").as_int(), 3);
   // And the dump is YAML that re-parses.
   const ConfigNode re = parse_yaml(of::core::dump_effective_config(tiny_config()));
-  EXPECT_EQ(re.at("obs").at("telemetry_wire").as_int(), 2);
+  EXPECT_EQ(re.at("obs").at("clock_sync_rounds").as_int(), 8);
+}
+
+TEST(StrictConfig, RetiredTelemetryWireKeyIsRejected) {
+  // The TLV tail is the only telemetry layout, so there is nothing to select.
+  ConfigNode cfg = tiny_config();
+  cfg.set_path("obs.telemetry_wire", ConfigNode::integer(1));
+  try {
+    of::core::Engine engine(cfg);
+    FAIL() << "obs.telemetry_wire was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("obs.telemetry_wire"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("unknown key"), std::string::npos) << e.what();
+  }
 }
 
 // --- one descriptor, all surfaces ----------------------------------------------

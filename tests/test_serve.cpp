@@ -211,6 +211,30 @@ TEST(StalenessBufferTest, ZeroMaxStalenessIsUnbounded) {
   EXPECT_EQ(buf.offer(f, 1000), StalenessBuffer::Admission::Accepted);
 }
 
+TEST(StalenessBufferTest, AllSkipWindowDrainsToNoModelChange) {
+  // Two non-finite updates (sent as skip frames) fill a buffer_size-2
+  // window: the drain is "no model change", and the window still closes.
+  FramePool pool;
+  StalenessBuffer buf(pool, nullptr, 2, 4, 0.6);
+  const Bytes skip = of::core::encode_skip_update();
+  EXPECT_EQ(buf.offer(skip, 0), StalenessBuffer::Admission::Accepted);
+  EXPECT_EQ(buf.offer(skip, 1), StalenessBuffer::Admission::Accepted);
+  ASSERT_TRUE(buf.ready());
+  EXPECT_TRUE(buf.drain().empty());
+  EXPECT_EQ(buf.size(), 0u);
+  EXPECT_EQ(buf.drains_total(), 1u);
+  EXPECT_EQ(buf.accepted_total(), 2u);
+
+  // The next window folds real updates as usual.
+  const Bytes f = encode_update(delta(1.0f, 2.0f), 1.0, {}, 0, 1);
+  EXPECT_EQ(buf.offer(f, 0), StalenessBuffer::Admission::Accepted);
+  EXPECT_EQ(buf.offer(skip, 0), StalenessBuffer::Admission::Accepted);
+  const auto mean = buf.drain();
+  ASSERT_EQ(mean.size(), 2u);
+  EXPECT_NEAR(mean[0][0], 0.6, 1e-6);  // the skip does not dilute the mean
+  EXPECT_EQ(buf.drains_total(), 2u);
+}
+
 // --- serve config -------------------------------------------------------------
 
 TEST(ServeConfigTest, MissingGroupYieldsDisabledDefaults) {
