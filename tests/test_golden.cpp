@@ -2,9 +2,9 @@
 // over the final-model bytes and the exact `round,train_loss,accuracy`
 // values of every RoundRecord. A refactor of the round loops or the wire
 // framing must leave this table unchanged — the same bytes out, not merely
-// similar accuracy. Hierarchical cells hash the metric columns only: the
-// combiner folds partials in arrival order, so their model bytes are not a
-// pure function of the config (DESIGN.md §10).
+// similar accuracy. Hierarchical cells hash the model bytes too: with two
+// trainers per group and two groups every fold sums at most two terms, and
+// a two-term float sum does not depend on arrival order (DESIGN.md §10).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -222,11 +222,11 @@ TEST(Golden, ServeSyncAndDeterministicFedBuff) {
   for (const auto& c : cells) check_cell(c);
 }
 
-TEST(Golden, HierarchicalColumns) {
+TEST(Golden, Hierarchical) {
   const Cell cells[] = {
-      {"hier/plain", use_hierarchical, false, 0x4F586B2336E3654BULL},
-      {"hier/dp", both(use_hierarchical, use_dp), false, 0x8CB82F7FFC6DC8B3ULL},
-      {"hier/topk", both(use_hierarchical, use_topk), false, 0xF00FC00AEB3819A3ULL},
+      {"hier/plain", use_hierarchical, true, 0xF227E37F77CC2D3EULL},
+      {"hier/dp", both(use_hierarchical, use_dp), true, 0x94B3F92F023DEB17ULL},
+      {"hier/topk", both(use_hierarchical, use_topk), true, 0x34A9C2F7D304D2B1ULL},
   };
   for (const auto& c : cells) check_cell(c);
 }

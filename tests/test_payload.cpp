@@ -17,8 +17,10 @@
 #include "compression/sparsify.hpp"
 #include "core/frame_pool.hpp"
 #include "core/payload.hpp"
+#include "exec/pool.hpp"
 #include "privacy/dp.hpp"
 #include "privacy/mechanism.hpp"
+#include "refl/tlv.hpp"
 #include "tensor/serialize.hpp"
 
 namespace {
@@ -576,5 +578,107 @@ TEST(PayloadF16, PartialHeaderAnnouncesReprAndOldFramesStillDecode) {
   f32_root.add_partial(f32_partial);
   EXPECT_EQ(f32_root.count(), 1u);
 }
+
+
+// --- fold-order equivalence ------------------------------------------------------
+//
+// Random-valued (not integer) payloads, so float sums round: any change in
+// fold order or in the rounding of a term shows up in the low bits. The
+// streaming fold, over raw frames or over count-1 partials wrapping them,
+// must reproduce mean_updates bitwise — the hierarchical root folds its
+// combiners' count-1 partials where the centralized hub calls mean_updates.
+
+// The OFP2 partial wire layout, built independently of the library:
+// u32 magic | u32 header_len | TLV(PartialHeader) | update frame. A skip
+// frame wraps as a count-0 partial.
+Bytes wrap_count_one(const Bytes& frame, of::core::WireRepr repr) {
+  of::core::PartialHeader hdr;
+  hdr.count = of::core::is_skip_update(frame) ? 0 : 1;
+  hdr.repr = repr;
+  of::refl::tlv::Bytes htlv;
+  of::refl::tlv::encode(hdr, htlv);
+  Bytes out;
+  of::tensor::append_pod<std::uint32_t>(out, 0x3250464Fu);  // "OFP2"
+  of::tensor::append_pod<std::uint32_t>(out, static_cast<std::uint32_t>(htlv.size()));
+  out.insert(out.end(), htlv.begin(), htlv.end());
+  out.insert(out.end(), frame.begin(), frame.end());
+  return out;
+}
+
+void expect_bitwise(const std::vector<Tensor>& got, const std::vector<Tensor>& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].numel(), want[i].numel()) << what;
+    for (std::size_t j = 0; j < got[i].numel(); ++j) {
+      const float g = got[i][j], w = want[i][j];
+      ASSERT_EQ(std::memcmp(&g, &w, sizeof(float)), 0)
+          << what << ": tensor " << i << " elem " << j << " got " << g << " want " << w;
+    }
+  }
+}
+
+enum class FoldCodec { PlainF32, PlainF16, Qsgd8 };
+
+void check_fold_equivalence(FoldCodec kind, const std::vector<of::tensor::Shape>& shapes) {
+  constexpr int kClients = 7;  // not a power of two: the 1/k scale rounds too
+  const auto repr =
+      kind == FoldCodec::PlainF16 ? of::core::WireRepr::F16 : of::core::WireRepr::F32;
+  of::compression::QSGD decoder(8, /*seed=*/1);
+  of::compression::Compressor* codec = kind == FoldCodec::Qsgd8 ? &decoder : nullptr;
+  Rng rng(0xF01D + static_cast<std::uint64_t>(kind) + shapes.size());
+  std::vector<Bytes> frames;
+  for (int c = 0; c < kClients; ++c) {
+    if (c == 2 || c == 5) {  // sat this round out
+      frames.push_back(of::core::encode_skip_update());
+      continue;
+    }
+    // Clients several binades apart: even f16 bodies (11 significant bits)
+    // then sum to more bits than an f32 accumulator keeps, so they round.
+    std::vector<Tensor> payload;
+    for (const auto& s : shapes) {
+      payload.push_back(Tensor::randn(s, rng, 0.1f, 3.0f));
+      payload.back().scale_(std::ldexp(1.0f, 3 * c - 8));
+    }
+    const double weight = 0.5 + 0.25 * c + 1e-3 * static_cast<double>(c * c);
+    of::compression::QSGD client_codec(8, /*seed=*/100 + static_cast<std::uint64_t>(c));
+    const PayloadPlugins plugins{codec ? &client_codec : nullptr, nullptr};
+    frames.push_back(of::core::encode_update(payload, weight, plugins, c, kClients, repr));
+  }
+  FramePool pool;
+  const auto reference = of::core::mean_updates(frames, codec, nullptr, &pool);
+
+  of::core::StreamingSum added(pool, codec);
+  for (const auto& f : frames) added.add(f);
+  EXPECT_EQ(added.count(), 5u);
+  expect_bitwise(added.finish_mean(), reference, "StreamingSum::add");
+
+  of::core::StreamingSum partials(pool, codec);
+  for (const auto& f : frames) partials.add_partial(wrap_count_one(f, repr));
+  EXPECT_EQ(partials.count(), 5u);
+  expect_bitwise(partials.finish_mean(), reference, "StreamingSum::add_partial");
+}
+
+// Small shapes stay serial; the large ones are past the aggregation
+// parallel cutoff, so with a 4-thread pool mean_updates takes its sharded
+// path while the streaming fold stays serial.
+void check_all_shapes(FoldCodec kind) {
+  check_fold_equivalence(kind, {{5, 7}, {23}, {3, 3, 3}});
+  for (const std::size_t threads : {1u, 4u}) {
+    of::exec::Pool::global().configure(threads);
+    check_fold_equivalence(kind, {{130, 131}, {517}});
+  }
+  of::exec::Pool::global().configure(1);
+}
+
+TEST(FoldEquivalence, PlainF32MatchesMeanUpdatesBitwise) {
+  check_all_shapes(FoldCodec::PlainF32);
+}
+
+TEST(FoldEquivalence, PlainF16MatchesMeanUpdatesBitwise) {
+  check_all_shapes(FoldCodec::PlainF16);
+}
+
+TEST(FoldEquivalence, Qsgd8MatchesMeanUpdatesBitwise) { check_all_shapes(FoldCodec::Qsgd8); }
 
 }  // namespace
