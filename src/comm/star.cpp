@@ -170,27 +170,6 @@ StreamingGather gather_bytes_streaming(Communicator& c, const Bytes& b,
   return out;
 }
 
-PartialGather gather_bytes_partial(Communicator& c, const Bytes& b,
-                                   const PartialGatherOptions& opt) {
-  // The materializing variant is the streaming one with a store-by-rank sink.
-  PartialGather out;
-  std::vector<Bytes>& frames = out.frames;
-  if (c.rank() == 0) {
-    frames.resize(static_cast<std::size_t>(c.world_size()));
-    frames[0] = b;
-  }
-  StreamingGather sg = gather_bytes_streaming(
-      c, b,
-      [&frames](int src, Bytes&& frame) {
-        frames[static_cast<std::size_t>(src)] = std::move(frame);
-      },
-      opt);
-  out.participated = std::move(sg.participated);
-  out.dropped = std::move(sg.dropped);
-  out.deadline_hit = sg.deadline_hit;
-  return out;
-}
-
 void broadcast_bytes(Communicator& c, Bytes& b, int root) {
   OF_CHECK_MSG(root == 0, "star collectives require root == 0 (the hub)");
   const int tag = c.claim_collective_tag();

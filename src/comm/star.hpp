@@ -19,14 +19,22 @@ void barrier(Communicator& c);
 std::vector<Bytes> gather_bytes(Communicator& c, const Bytes& b, int root);
 void broadcast_bytes(Communicator& c, Bytes& b, int root);
 
-// --- deadline-based partial gather --------------------------------------------
+// --- deadline-based streaming gather ------------------------------------------
 //
-// The fault-tolerant variant of gather_bytes: the hub collects client frames
-// until either everyone reported or the round deadline passes. Past the
-// deadline it proceeds with whatever arrived, provided at least
-// `min_clients` made it; otherwise it keeps waiting (up to
-// `quorum_timeout_seconds` total) for a quorum. Stragglers past the cutoff
-// are recorded as dropped — the aggregation layer re-weights around them.
+// The fault-tolerant, streaming variant of gather_bytes — the primitive of
+// every hub that cuts stragglers (centralized fault runs, hierarchical
+// combiners). The hub collects client frames until either everyone
+// reported or the round deadline passes. Past the deadline it proceeds with
+// whatever arrived, provided at least `min_clients` made it; otherwise it
+// keeps waiting (up to `quorum_timeout_seconds` total) for a quorum.
+// Stragglers past the cutoff are recorded as dropped — the aggregation
+// layer re-weights around them.
+//
+// The hub never materializes the frame set: each client frame is handed to
+// `sink(src, frame)` the moment it arrives (the hub's own contribution `b`
+// is NOT sunk — the caller already holds it). With a StreamingSum behind
+// the sink, hub aggregation state is O(model), not O(clients × model). A
+// client sends exactly what gather_bytes sends, so clients may call either.
 
 struct PartialGatherOptions {
   int min_clients = 1;                  // quorum: proceed past deadline with >= this many
@@ -34,32 +42,14 @@ struct PartialGatherOptions {
   double quorum_timeout_seconds = 60.0; // hard cutoff waiting for the quorum itself
 };
 
-struct PartialGather {
-  // Indexed by rank; frames[0] is the hub's own contribution, a dropped
-  // client's slot stays empty.
-  std::vector<Bytes> frames;
+struct StreamingGather {
   std::vector<int> participated;  // client ranks that made the cutoff (sorted)
   std::vector<int> dropped;       // client ranks excluded this round (sorted)
   bool deadline_hit = false;      // true when at least one straggler was outwaited
 };
-
-// Collective: every rank calls it in the same order. Clients send and return
-// an empty result; the hub (rank 0) returns the populated PartialGather.
-PartialGather gather_bytes_partial(Communicator& c, const Bytes& b,
-                                   const PartialGatherOptions& opt);
-
-// Streaming variant — the combiner tier's primitive. Same deadline/quorum
-// protocol as gather_bytes_partial, but the hub never materializes the frame
-// set: each client frame is handed to `sink(src, frame)` the moment it
-// arrives (the hub's own contribution `b` is NOT sunk — the caller already
-// holds it). With a StreamingSum behind the sink, hub aggregation state is
-// O(model), not O(clients × model).
-struct StreamingGather {
-  std::vector<int> participated;  // client ranks that made the cutoff (sorted)
-  std::vector<int> dropped;       // client ranks excluded this round (sorted)
-  bool deadline_hit = false;
-};
 using FrameSink = std::function<void(int src, Bytes&& frame)>;
+// Collective: every rank calls it in the same order. Clients send and return
+// an empty result; the hub (rank 0) returns the populated StreamingGather.
 StreamingGather gather_bytes_streaming(Communicator& c, const Bytes& b,
                                        const FrameSink& sink,
                                        const PartialGatherOptions& opt);

@@ -196,6 +196,14 @@ std::vector<NodeSetup> Engine::build_setups() {
   OF_CHECK_MSG(agg_rule == AggregationRule::Mean || !fedbuff,
                "robust aggregation rules need the whole cohort at once — the "
                "serving tier folds updates into a streaming buffer");
+  OF_CHECK_MSG(agg_rule == AggregationRule::Mean ||
+                   (topology_.kind != "ring" && topology_.kind != "hierarchical"),
+               "robust aggregation rules need a centralized topology — ring "
+               "all-reduce and the hierarchical combiner tree only form means");
+  OF_CHECK_MSG(topology_.combiner.deadline_seconds <= 0 || !has_privacy,
+               "topology.combiner.deadline_seconds cannot be combined with a privacy "
+               "mechanism — a privacy combiner needs every member's update, so it "
+               "always waits for its whole group");
   const config::ConfigNode byz_cfg = node_or_empty(cfg_, "byzantine");
   const auto byzantine_count = byz_cfg.get_or<std::size_t>("count", 0);
   const std::string byzantine_kind = byz_cfg.get_or<std::string>("kind", "sign_flip");
@@ -334,8 +342,7 @@ std::vector<NodeSetup> Engine::build_setups() {
     s.node_id = tn.id;
     s.role = tn.role;
     s.group = tn.group;
-    s.mode = async_mode ? "async"
-                        : (topology_.kind == "custom" ? "centralized" : topology_.kind);
+    s.mode = topology_.kind == "custom" ? "centralized" : topology_.kind;
     s.global_rounds = global_rounds;
     s.local_epochs = local_epochs;
     s.eval_every = eval_every;

@@ -103,16 +103,12 @@ NodeReport NodeRuntime::run() {
   OwnedComm inner = OwnedComm::make(s_.inner_spec);
   tcp_inner_ = inner.tcp.get();
   // Telemetry rides the client→aggregator update frames, so it is only
-  // active in the modes whose aggregator strips it back off.
-  telem_on_ = s_.obs_telemetry && (s_.mode == "centralized" || s_.mode == "async");
+  // active on centralized topologies, whose hub strips it back off.
+  telem_on_ = s_.obs_telemetry && s_.mode == "centralized";
   PhaseSinkGuard sink_guard;
   if (telem_on_ && s_.role == NodeRole::Trainer)
     obs::set_phase_sink(phase_digests_.data());
   NodeReport report;
-  // Async mode is the serve loop's FedBuff special case (fraction 1,
-  // buffer 1); the Engine maps the scheduling group onto s_.serve.
-  OF_CHECK_MSG(s_.mode != "async" || (s_.serve.enabled && s_.serve.mode == serve::Mode::FedBuff),
-               "node " << s_.node_id << ": async mode without a serve config");
   if (s_.serve.enabled && s_.serve.mode == serve::Mode::FedBuff) {
     report = s_.role == NodeRole::Aggregator ? run_serve_aggregator(*inner.use)
                                              : run_serve_trainer(*inner.use);
@@ -120,39 +116,14 @@ NodeReport NodeRuntime::run() {
     report = run_ring_node(*inner.use);
   } else if (s_.role == NodeRole::Trainer) {
     report = run_trainer(*inner.use);
-  } else if (s_.mode == "centralized") {
-    report = run_central_aggregator(*inner.use, gather_policy());
-  } else if (s_.mode == "hierarchical") {
-    OwnedComm outer = OwnedComm::make(s_.outer_spec);
-    report = run_hier_leader(*inner.use, *outer.use);
-    report.comm_outer += outer.use->stats();
   } else {
-    OF_CHECK_MSG(false, "node " << s_.node_id << ": unsupported mode '" << s_.mode << "'");
+    OwnedComm outer = s_.mode == "hierarchical" ? OwnedComm::make(s_.outer_spec) : OwnedComm{};
+    report = run_hub(*inner.use, outer.use);
+    if (outer.use != nullptr) report.comm_outer += outer.use->stats();
   }
   report.comm_inner += inner.use->stats();
   report.train_seconds = train_seconds_;
   return report;
-}
-
-NodeRuntime::GatherPolicy NodeRuntime::gather_policy() const {
-  // The Engine only enables the fault model on centralized topologies.
-  return s_.fault.enabled && s_.mode == "centralized" ? GatherPolicy::DeadlineQuorum
-                                                      : GatherPolicy::All;
-}
-
-comm::star::PartialGather NodeRuntime::gather_updates(comm::Communicator& inner,
-                                                      const tensor::Bytes& mine,
-                                                      GatherPolicy policy) const {
-  if (policy == GatherPolicy::DeadlineQuorum)
-    return comm::star::gather_bytes_partial(
-        inner, mine,
-        {s_.fault.min_clients, s_.fault.round_deadline_seconds,
-         s_.fault.quorum_timeout_seconds});
-  comm::star::PartialGather g;
-  g.frames = inner.gather_bytes(mine, 0);
-  if (inner.rank() == 0)
-    for (int p = 1; p < inner.world_size(); ++p) g.participated.push_back(p);
-  return g;
 }
 
 bool NodeRuntime::selected_this_round(std::size_t round) const {
@@ -310,7 +281,7 @@ NodeRuntime::RoundStart NodeRuntime::round_start(const comm::Communicator& link)
 RoundRecord NodeRuntime::record_round(std::size_t round, const RoundStart& start,
                                       const comm::Communicator& link, double train_loss,
                                       float accuracy, double aggregate_seconds,
-                                      const comm::star::PartialGather* gather) {
+                                      const comm::star::StreamingGather* gather) {
   RoundRecord rec;
   rec.round = round;
   rec.seconds = seconds_since(start.t0);
@@ -344,7 +315,6 @@ RoundRecord NodeRuntime::record_round(std::size_t round, const RoundStart& start
 }
 
 NodeReport NodeRuntime::run_trainer(comm::Communicator& inner) {
-  const GatherPolicy policy = gather_policy();
   // Fault injections (src/fault/); a disabled spec never fires.
   fault::FaultInjector injector(s_.fault, inner.rank(), s_.participation_seed);
   for (std::size_t round = 0; round < s_.global_rounds; ++round) {
@@ -399,31 +369,71 @@ NodeReport NodeRuntime::run_trainer(comm::Communicator& inner) {
     append_telemetry(frame_buf_, inner, round);
     {
       ScopedSpan span(Name::Send, s_.node_id, round, frame_buf_.size());
-      (void)gather_updates(inner, frame_buf_, policy);
+      (void)inner.gather_bytes(frame_buf_, 0);
     }
   }
   return NodeReport{};
 }
 
-NodeReport NodeRuntime::run_central_aggregator(comm::Communicator& inner,
-                                               GatherPolicy policy) {
+NodeReport NodeRuntime::run_hub(comm::Communicator& inner, comm::Communicator* outer) {
   NodeReport report;
   auto& algo = *s_.algorithm;
+  // The root owns the global model: the centralized hub, or outer rank 0 of
+  // the tree. Every hierarchical leader, the root too, is a combiner.
+  const bool is_root = outer == nullptr || outer->rank() == 0;
   algorithms::ServerState state;
   state.params = s_.algorithm_params;
-  state.global = algo.initial_global(s_.model);
-  const int cohort = inner.world_size() - 1;
+  if (is_root) state.global = algo.initial_global(s_.model);
+  const int members = inner.world_size() - 1;
+  // A combiner without privacy folds each frame into a partial sum as it
+  // arrives (O(model) state); every other hub collects the frames by rank.
+  const bool streaming = outer != nullptr && s_.privacy == nullptr;
+  StreamingSum group_sum(pool_, s_.compressor.get());
+  // Centralized fault runs cut stragglers at the fault deadline; streaming
+  // combiners at the combiner deadline, if set. Other hubs wait for all.
+  const bool hier_cut = s_.hier_deadline_seconds > 0;
+  std::optional<comm::star::PartialGatherOptions> cut;
+  if (outer == nullptr && s_.fault.enabled)
+    cut = {{s_.fault.min_clients, s_.fault.round_deadline_seconds,
+            s_.fault.quorum_timeout_seconds}};
+  else if (streaming)
+    cut = {{hier_cut ? std::min(s_.hier_min_clients, members) : members,
+            hier_cut ? s_.hier_deadline_seconds : 60.0, 60.0}};
+  // Frames and metric trailers parked by rank, so the collected folds and
+  // every metric sum run in rank order whatever the arrival order.
+  std::vector<tensor::Bytes> frames(static_cast<std::size_t>(inner.world_size()));
+  std::vector<RoundMetrics> metrics(frames.size());
+  const auto take = [&](int src, tensor::Bytes&& frame) {
+    const auto r = static_cast<std::size_t>(src);
+    if (telem_on_) strip_telemetry(frame);
+    metrics[r] = strip_metrics(frame);
+    if (streaming) group_sum.add(frame);
+    else frames[r] = std::move(frame);
+  };
 
   for (std::size_t round = 0; round < s_.global_rounds; ++round) {
     ScopedSpan round_span(Name::Round, s_.node_id, round);
-    const RoundStart start = round_start(inner);
-    tensor::Bytes gbytes = pack_tensors(state.global);
+    const RoundStart start = round_start(outer != nullptr ? *outer : inner);
+    tensor::Bytes gbytes;
+    if (is_root) gbytes = pack_tensors(state.global);
     {
-      ScopedSpan span(Name::Broadcast, s_.node_id, round, gbytes.size());
+      ScopedSpan span(Name::Broadcast, s_.node_id, round);
+      if (outer != nullptr) outer->broadcast_bytes(gbytes, 0);
       inner.broadcast_bytes(gbytes, 0);
+      span.set_arg(gbytes.size());
     }
+    group_sum.reset();
+    comm::star::StreamingGather g;
     ScopedSpan recv_span(Name::Recv, s_.node_id, round);
-    comm::star::PartialGather g = gather_updates(inner, {}, policy);
+    if (cut) {
+      g = comm::star::gather_bytes_streaming(inner, {}, take, *cut);
+    } else {
+      auto all = inner.gather_bytes({}, 0);
+      for (int p = 1; p <= members; ++p) {
+        take(p, std::move(all[static_cast<std::size_t>(p)]));
+        g.participated.push_back(p);
+      }
+    }
     recv_span.end();
     if (g.deadline_hit) {
       obs::Registry::global().counter("fault.deadline_cuts").inc();
@@ -433,49 +443,102 @@ NodeReport NodeRuntime::run_central_aggregator(comm::Communicator& inner,
     }
 
     const auto agg_t0 = Clock::now();
-    ScopedSpan agg_span(Name::Aggregate, s_.node_id, round, g.participated.size());
-    // Strip each participant's tails in rank order, so the metric sums fold
-    // in the same order whatever the arrival order.
-    std::vector<tensor::Bytes> frames;
-    frames.reserve(g.participated.size());
-    MetricSums<double> metrics;
+    std::optional<ScopedSpan> agg_span(std::in_place, Name::Aggregate, s_.node_id, round,
+                                       g.participated.size());
+    MetricSums<double> central;  // the centralized hub folds metrics in double,
+    RoundMetrics tree;           // the combiner tree in f32
+    std::vector<tensor::Tensor> mean;  // stays empty when every update skipped
+    std::vector<tensor::Bytes> collected;
+    collected.reserve(g.participated.size());
     double weight_sum = 0.0;
-    int contributing = 0;
     for (const int p : g.participated) {
-      tensor::Bytes& f = g.frames[static_cast<std::size_t>(p)];
-      if (telem_on_) strip_telemetry(f);
-      metrics.add(strip_metrics(f));
-      if (!is_skip_update(f)) {
-        ++contributing;
-        const auto ci = static_cast<std::size_t>(p - 1);  // rank p ↔ cohort index p-1
-        if (ci < s_.client_weights.size()) weight_sum += s_.client_weights[ci];
-      }
-      frames.push_back(std::move(f));
+      const auto r = static_cast<std::size_t>(p);
+      central.add(metrics[r]);
+      tree.add(metrics[r]);
+      if (streaming || is_skip_update(frames[r])) continue;
+      // rank p ↔ cohort index p-1
+      if (r - 1 < s_.client_weights.size()) weight_sum += s_.client_weights[r - 1];
+      collected.push_back(std::move(frames[r]));
     }
-    if (contributing > 0) {
-      auto mean = s_.aggregation_rule == AggregationRule::Mean
-                      ? mean_updates(frames, s_.compressor.get(), s_.privacy.get(), &pool_)
-                      : robust_combine(frames, s_.compressor.get(), s_.aggregation_rule,
-                                       s_.aggregation_trim, &pool_);
+    if (!collected.empty()) {
+      mean = s_.aggregation_rule == AggregationRule::Mean
+                 ? mean_updates(collected, s_.compressor.get(), s_.privacy.get(), &pool_)
+                 : robust_combine(collected, s_.compressor.get(), s_.aggregation_rule,
+                                  s_.aggregation_trim, &pool_);
       // Fault runs (client_weights set): each update was pre-scaled by
       // n_i·N/total, so the uniform mean over the k survivors needs
       // k / (N·Σ w_i) to become the exact weighted mean over the surviving
       // cohort (= 1 at full participation).
-      if (s_.aggregation_rule == AggregationRule::Mean && !s_.client_weights.empty() &&
-          weight_sum > 1e-12) {
-        const double corr = static_cast<double>(contributing) /
-                            (static_cast<double>(cohort) * weight_sum);
+      if (s_.aggregation_rule == AggregationRule::Mean && weight_sum > 1e-12) {
+        const double corr = static_cast<double>(collected.size()) /
+                            (static_cast<double>(members) * weight_sum);
         if (std::abs(corr - 1.0) > 1e-9)
           for (auto& t : mean) t.scale_(static_cast<float>(corr));
       }
+    }
+
+    if (outer != nullptr) {
+      // A combiner forwards an OFP2 partial: its streamed sum at
+      // partial_scale, or its collected group mean at weight_scale as a
+      // count-1 partial. The root gathers them all, its own included, and
+      // folds them in outer-rank order.
+      agg_span.reset();
+      {
+        ScopedSpan span(Name::Encode, s_.node_id, round);
+        if (s_.outer_compressor)
+          s_.outer_compressor->set_stream(round, static_cast<std::uint64_t>(outer->rank()));
+        if (streaming) {
+          group_sum.encode_partial_into(s_.partial_scale, s_.outer_compressor.get(),
+                                        frame_buf_, s_.wire_repr);
+        } else {
+          if (mean.empty())
+            frame_buf_ = encode_skip_update();
+          else
+            encode_update_into(mean, s_.weight_scale, {s_.outer_compressor.get(), nullptr},
+                               outer->rank(), outer->world_size(), pool_, frame_buf_,
+                               s_.wire_repr);
+          wrap_count_one_partial(frame_buf_);
+        }
+        span.set_arg(frame_buf_.size());
+      }
+      if (s_.obs_telemetry && streaming) {
+        obs::Fleet::CombinerHealth ch;
+        ch.group = s_.group;
+        ch.round = static_cast<std::uint32_t>(round);
+        ch.participated = static_cast<std::uint32_t>(g.participated.size());
+        ch.expected = static_cast<std::uint32_t>(members);
+        ch.dropped = static_cast<std::uint32_t>(g.dropped.size());
+        ch.deadline_hit = g.deadline_hit;
+        ch.agg_peak_bytes = group_sum.peak_bytes();
+        ch.seconds = seconds_since(start.t0);
+        obs::Fleet::global().record_combiner(ch);
+      }
+      append_metrics(frame_buf_, tree);
+      ScopedSpan send_span(Name::Send, s_.node_id, round, frame_buf_.size());
+      std::vector<tensor::Bytes> partials = outer->gather_bytes(frame_buf_, 0);
+      send_span.end();
+      if (!is_root) continue;
+      agg_span.emplace(Name::Aggregate, s_.node_id, round, partials.size());
+      StreamingSum root_sum(pool_, s_.outer_compressor.get());
+      tree = {};
+      for (auto& partial : partials) {
+        tree.add(strip_metrics(partial));
+        root_sum.add_partial(partial);
+      }
+      mean = root_sum.count() > 0 ? root_sum.finish_mean() : std::vector<tensor::Tensor>{};
+    }
+    if (!mean.empty()) {  // an all-skip round leaves the global model untouched
       state.round = round;
       state.global = algo.server_update(state, mean);
-    }  // an all-skip round leaves the global model untouched
-    agg_span.end();
-    report.rounds.push_back(record_round(round, start, inner, metrics.train_loss(),
-                                         metrics.accuracy(), seconds_since(agg_t0), &g));
+    }
+    agg_span.reset();
+    report.rounds.push_back(
+        outer != nullptr
+            ? record_round(round, start, *outer, tree.train_loss(), tree.accuracy())
+            : record_round(round, start, inner, central.train_loss(), central.accuracy(),
+                           seconds_since(agg_t0), &g));
   }
-  report.final_model = pack_tensors(state.global);
+  if (is_root) report.final_model = pack_tensors(state.global);
   return report;
 }
 
@@ -881,160 +944,6 @@ NodeReport NodeRuntime::run_serve_trainer(comm::Communicator& inner) {
   append_metrics(msg, fin);
   inner.send_bytes(0, kServeUpdate, msg);
   return NodeReport{};
-}
-
-NodeReport NodeRuntime::run_hier_leader(comm::Communicator& inner,
-                                        comm::Communicator& outer) {
-  NodeReport report;
-  auto& algo = *s_.algorithm;
-  const bool is_root = outer.rank() == 0;
-  algorithms::ServerState state;
-  state.params = s_.algorithm_params;
-  if (is_root) state.global = algo.initial_global(s_.model);
-
-  // Combiner tier (DESIGN.md §10): stream each arriving group update into a
-  // partial-sum frame and forward only `partial_scale × sum` plus its count
-  // upward, so aggregation state is O(model × combiners) instead of
-  // O(clients × model). Privacy frames only mean anything in aggregate with
-  // every masked body present, so those setups keep collect-then-mean.
-  const bool streaming = s_.privacy == nullptr;
-  StreamingSum group_sum(pool_, s_.compressor.get());
-  StreamingSum root_sum(pool_, s_.outer_compressor.get());
-  // Without a combiner policy (deadline 0) a combiner waits for its whole
-  // group; combiners themselves are never cut.
-  const int members = inner.world_size() - 1;
-  const bool cut = s_.hier_deadline_seconds > 0;
-  const comm::star::PartialGatherOptions group_opt{
-      cut ? std::min(s_.hier_min_clients, members) : members,
-      cut ? s_.hier_deadline_seconds : 60.0, 60.0};
-  const comm::star::PartialGatherOptions outer_opt{outer.world_size() - 1, 60.0, 60.0};
-  // Metric trailers stripped in the streaming sinks, parked by rank so the
-  // sums fold in rank order rather than arrival order.
-  std::vector<RoundMetrics> member_metrics(static_cast<std::size_t>(inner.world_size()));
-  std::vector<RoundMetrics> leader_metrics(static_cast<std::size_t>(outer.world_size()));
-
-  for (std::size_t round = 0; round < s_.global_rounds; ++round) {
-    ScopedSpan round_span(Name::Round, s_.node_id, round);
-    const RoundStart start = round_start(outer);
-    // Global payload: root → leaders → group members.
-    tensor::Bytes gbytes;
-    if (is_root) gbytes = pack_tensors(state.global);
-    {
-      ScopedSpan span(Name::Broadcast, s_.node_id, round);
-      outer.broadcast_bytes(gbytes, 0);
-      inner.broadcast_bytes(gbytes, 0);
-      span.set_arg(gbytes.size());
-    }
-
-    const PayloadPlugins outer_plugins{s_.outer_compressor.get(), nullptr};
-    if (s_.outer_compressor)
-      s_.outer_compressor->set_stream(round, static_cast<std::uint64_t>(outer.rank()));
-
-    RoundMetrics group;  // this combiner's members
-    RoundMetrics total;  // root: every group, in outer-rank order
-    if (streaming) {
-      // Fold each group update into the partial sum the moment it arrives
-      // (trainers send through plain gather_bytes — same tag protocol).
-      group_sum.reset();
-      std::fill(member_metrics.begin(), member_metrics.end(), RoundMetrics{});
-      comm::star::StreamingGather sg;
-      {
-        ScopedSpan span(Name::Recv, s_.node_id, round);
-        sg = comm::star::gather_bytes_streaming(
-            inner, {},
-            [&](int src, tensor::Bytes&& frame) {
-              member_metrics[static_cast<std::size_t>(src)] = strip_metrics(frame);
-              group_sum.add(frame);
-            },
-            group_opt);
-      }
-      for (const int p : sg.participated)
-        group.add(member_metrics[static_cast<std::size_t>(p)]);
-      {
-        ScopedSpan span(Name::Encode, s_.node_id, round);
-        group_sum.encode_partial_into(s_.partial_scale, s_.outer_compressor.get(),
-                                      frame_buf_, s_.wire_repr);
-        span.set_arg(frame_buf_.size());
-      }
-      if (s_.obs_telemetry) {
-        obs::Fleet::CombinerHealth ch;
-        ch.group = s_.group;
-        ch.round = static_cast<std::uint32_t>(round);
-        ch.participated = static_cast<std::uint32_t>(sg.participated.size());
-        ch.expected = static_cast<std::uint32_t>(members);
-        ch.dropped = static_cast<std::uint32_t>(sg.dropped.size());
-        ch.deadline_hit = sg.deadline_hit;
-        ch.agg_peak_bytes = group_sum.peak_bytes();
-        ch.seconds = seconds_since(start.t0);
-        obs::Fleet::global().record_combiner(ch);
-      }
-
-      // Cross-facility tier: partials stream into the root's sum the same
-      // way; the root folds in its own group's partial directly.
-      ScopedSpan outer_span(Name::Send, s_.node_id, round, frame_buf_.size());
-      if (is_root) {
-        root_sum.reset();
-        root_sum.add_partial(frame_buf_);
-        total.add(group);
-      }
-      append_metrics(frame_buf_, group);
-      std::fill(leader_metrics.begin(), leader_metrics.end(), RoundMetrics{});
-      const auto og = comm::star::gather_bytes_streaming(
-          outer, frame_buf_,
-          [&](int src, tensor::Bytes&& frame) {
-            leader_metrics[static_cast<std::size_t>(src)] = strip_metrics(frame);
-            root_sum.add_partial(frame);
-          },
-          outer_opt);
-      outer_span.end();
-      if (is_root) {
-        for (const int p : og.participated)
-          total.add(leader_metrics[static_cast<std::size_t>(p)]);
-        ScopedSpan span(Name::Aggregate, s_.node_id, round, root_sum.count());
-        const auto mean = root_sum.finish_mean();
-        state.round = round;
-        state.global = algo.server_update(state, mean);
-      }
-    } else {
-      // Collect the group's updates and pre-aggregate them.
-      std::vector<tensor::Bytes> frames;
-      {
-        ScopedSpan span(Name::Recv, s_.node_id, round);
-        frames = inner.gather_bytes({}, 0);
-      }
-      frames.erase(frames.begin());
-      for (auto& f : frames) group.add(strip_metrics(f));
-      ScopedSpan group_agg_span(Name::Aggregate, s_.node_id, round, frames.size());
-      const auto group_mean =
-          mean_updates(frames, s_.compressor.get(), s_.privacy.get(), &pool_);
-      group_agg_span.end();
-
-      // Cross-facility tier: (optionally compressed) leader contribution.
-      {
-        ScopedSpan span(Name::Encode, s_.node_id, round);
-        encode_update_into(group_mean, s_.weight_scale, outer_plugins, outer.rank(),
-                           outer.world_size(), pool_, frame_buf_, s_.wire_repr);
-        span.set_arg(frame_buf_.size());
-      }
-      append_metrics(frame_buf_, group);
-      ScopedSpan outer_span(Name::Send, s_.node_id, round, frame_buf_.size());
-      auto outer_frames = outer.gather_bytes(frame_buf_, 0);
-      outer_span.end();
-      if (is_root) {
-        for (auto& f : outer_frames) total.add(strip_metrics(f));
-        ScopedSpan span(Name::Aggregate, s_.node_id, round, outer_frames.size());
-        const auto mean =
-            mean_updates(outer_frames, s_.outer_compressor.get(), nullptr, &pool_);
-        state.round = round;
-        state.global = algo.server_update(state, mean);
-      }
-    }
-    if (is_root)
-      report.rounds.push_back(
-          record_round(round, start, outer, total.train_loss(), total.accuracy()));
-  }
-  if (is_root) report.final_model = pack_tensors(state.global);
-  return report;
 }
 
 }  // namespace of::core

@@ -56,7 +56,7 @@ struct NodeSetup {
   int node_id = 0;
   NodeRole role = NodeRole::Trainer;
   int group = 0;
-  std::string mode;  // "centralized" | "ring" | "hierarchical" | "async"
+  std::string mode;  // topology kind: "centralized" | "ring" | "hierarchical"
   std::size_t global_rounds = 1;
   std::size_t local_epochs = 1;
   std::size_t eval_every = 1;  // 0 = only after the last round
@@ -106,7 +106,8 @@ struct NodeSetup {
   // divide-by-total-count mean, so the tree reproduces the flat weighted
   // mean exactly at full participation. deadline 0 = wait for the whole
   // group; with a deadline, stragglers are cut once `hier_min_clients`
-  // reported (privacy setups always fall back to collect-then-mean).
+  // reported. A privacy leader collects its whole group instead and
+  // forwards the group mean at `weight_scale` as a count-1 partial.
   double partial_scale = 1.0;
   double hier_deadline_seconds = 0.0;
   int hier_min_clients = 0;
@@ -131,7 +132,8 @@ struct NodeSetup {
   // (stripped server-side before decode, so training state never sees it),
   // and ping the coordinator clock every `obs_clock_sync_every` rounds.
   // Engine-set from the obs config on every node, so both ends of a link
-  // agree on the framing. Active in centralized and async modes.
+  // agree on the framing. Active on centralized topologies (lockstep and
+  // serving).
   bool obs_telemetry = false;
   std::size_t obs_clock_sync_every = 0;
 
@@ -152,26 +154,22 @@ class NodeRuntime {
   NodeReport run();
 
  private:
-  // How a lockstep hub collects a round's update frames. Both ends of a
-  // link derive it from the same config (fault.enabled), so the collectives
-  // pair up: `All` waits for every client; `DeadlineQuorum` cuts stragglers
-  // at the fault spec's round deadline once a quorum reported.
-  enum class GatherPolicy { All, DeadlineQuorum };
-  GatherPolicy gather_policy() const;
-  comm::star::PartialGather gather_updates(comm::Communicator& inner,
-                                           const tensor::Bytes& mine,
-                                           GatherPolicy policy) const;
-
   // Lockstep rounds (paper §3.3): the trainer loop (centralized clients
-  // and hierarchical group members) and the centralized aggregator loop.
-  // Each update frame carries its round metrics as a trailer, so one gather
-  // per round moves both; under DeadlineQuorum, trainers also evaluate the
-  // configured fault injections and the hub re-weights the mean around the
-  // dropped clients.
+  // and hierarchical group members) and the hub loop. Each update frame
+  // carries its round metrics as a trailer, so one gather per round moves
+  // both. A trainer always sends its frame with one plain gather_bytes; the
+  // hub alone decides how long it waits (a deadline-quorum cut in fault
+  // runs, where it re-weights the mean around the dropped clients, and at
+  // combiners with a deadline). Trainers also evaluate the configured fault
+  // injections.
+  //
+  // run_hub is the one aggregator loop (DESIGN.md §4). Without `outer` it is
+  // the centralized aggregator; with it, a hierarchical combiner that
+  // forwards its group as an OFP2 partial, and on outer rank 0 also the
+  // tree root that folds every partial in rank order.
   NodeReport run_trainer(comm::Communicator& inner);
-  NodeReport run_central_aggregator(comm::Communicator& inner, GatherPolicy policy);
+  NodeReport run_hub(comm::Communicator& inner, comm::Communicator* outer);
   NodeReport run_ring_node(comm::Communicator& inner);
-  NodeReport run_hier_leader(comm::Communicator& inner, comm::Communicator& outer);
   // Serving tier (src/serve/, DESIGN.md §14): the coordinator samples a
   // fraction of the registered population each aggregation window, folds
   // staleness-weighted updates into a bounded buffer, and answers over-stale
@@ -206,12 +204,12 @@ class NodeRuntime {
   static RoundStart round_start(const comm::Communicator& link);
   // The one RoundRecord builder. `link` is the root's link for the round's
   // byte deltas (the outer tier on the hierarchical root); `gather` is the
-  // lockstep hub's participation record, if any. Mirrors the record into
+  // centralized hub's participation record, if any. Mirrors the record into
   // the fleet's RoundHealth when telemetry is on.
   RoundRecord record_round(std::size_t round, const RoundStart& start,
                            const comm::Communicator& link, double train_loss,
                            float accuracy, double aggregate_seconds = 0.0,
-                           const comm::star::PartialGather* gather = nullptr);
+                           const comm::star::StreamingGather* gather = nullptr);
 
   // Deterministic partial-participation schedule (same on every node).
   bool selected_this_round(std::size_t round) const;

@@ -56,6 +56,18 @@ void accum_plain_bytes(std::uint8_t mode, ConstByteSpan body, double alpha,
 // Magic opening a v2 TLV partial header ("OFP2" little-endian).
 constexpr std::uint32_t kPartialMagic = 0x3250464Fu;
 
+// u32 magic | u32 header_len | TLV(PartialHeader), ahead of a partial's body.
+void append_partial_header(Bytes& out, std::size_t count, WireRepr repr) {
+  PartialHeader hdr;
+  hdr.count = static_cast<std::uint64_t>(count);
+  hdr.repr = repr;
+  refl::tlv::Bytes htlv;
+  refl::tlv::encode(hdr, htlv);
+  tensor::append_pod<std::uint32_t>(out, kPartialMagic);
+  tensor::append_pod<std::uint32_t>(out, static_cast<std::uint32_t>(htlv.size()));
+  out.insert(out.end(), htlv.begin(), htlv.end());
+}
+
 // Mirror of the comm layer's 1 GiB frame cap: no manifest may describe an
 // update larger than a maximal frame could carry, no matter what its dims
 // claim. Keeps a tiny hostile frame from provoking a huge allocation.
@@ -295,14 +307,7 @@ void StreamingSum::encode_partial_into(double scale,
                                        compression::Compressor* compressor,
                                        Bytes& out, WireRepr repr) {
   out.clear();
-  PartialHeader hdr;
-  hdr.count = static_cast<std::uint64_t>(count_);
-  hdr.repr = compressor ? WireRepr::F32 : repr;
-  refl::tlv::Bytes htlv;
-  refl::tlv::encode(hdr, htlv);
-  tensor::append_pod<std::uint32_t>(out, kPartialMagic);
-  tensor::append_pod<std::uint32_t>(out, static_cast<std::uint32_t>(htlv.size()));
-  out.insert(out.end(), htlv.begin(), htlv.end());
+  append_partial_header(out, count_, compressor ? WireRepr::F32 : repr);
   if (count_ == 0) {
     out.push_back(kSkip);
     return;
@@ -335,6 +340,14 @@ void StreamingSum::encode_partial_into(double scale,
   tensor::append_span(out, ConstByteSpan(c.payload));
   *lent = std::move(c.payload);
   peak_bytes_ = std::max(peak_bytes_, 2 * total_ * sizeof(float));
+}
+
+void wrap_count_one_partial(Bytes& frame) {
+  const bool skip = is_skip_update(frame);
+  Bytes header;
+  append_partial_header(header, skip ? 0 : 1,
+                        !skip && frame[0] == kPlainF16 ? WireRepr::F16 : WireRepr::F32);
+  frame.insert(frame.begin(), header.begin(), header.end());
 }
 
 std::vector<Tensor> StreamingSum::finish_mean() {

@@ -159,13 +159,19 @@ struct PartialHeader {
   WireRepr repr = WireRepr::F32;
 };
 
+// Turn one encoded update frame into a count-1 partial in place: the OFP2
+// header goes in front, the frame's bytes stay as they are. A skip frame
+// becomes a count-0 partial. This is how a combiner that cannot stream (a
+// privacy group, collected then meaned) forwards its group mean.
+void wrap_count_one_partial(Bytes& frame);
+
 // Streaming partial-sum accumulator — the combiner tier's aggregation state
 // (DESIGN.md §10). Frames are folded into one pooled flat accumulator as
 // they arrive, so a combiner holds O(model) bytes no matter how many clients
 // feed it; only the partial sum (plus its contribution count) is forwarded
 // upward. Privacy frames are rejected: secure aggregation needs every masked
-// body at once, so hierarchical setups with privacy fall back to
-// collect-then-mean.
+// body at once, so a privacy combiner collects its group, means it, and
+// forwards the mean as a count-1 partial (wrap_count_one_partial).
 class StreamingSum {
  public:
   explicit StreamingSum(FramePool& pool,

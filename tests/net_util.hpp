@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 
 namespace of::testutil {
@@ -34,13 +35,20 @@ inline std::uint16_t ephemeral_port() {
 
 // A base port with `count` consecutive free ports starting at it, for
 // configs that derive per-group ports as base+group (HierarchicalTopology's
-// inner tier). A single bind-to-zero only vets the base; base+1 can already
-// be held by a parallel suite, which shows up as a 60 s quorum timeout, not
-// a bind error. Holds all `count` sockets bound before releasing any.
-inline std::uint16_t ephemeral_port_block(int count) {
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    const std::uint16_t base = ephemeral_port();
-    if (base == 0 || base + count >= 65536) continue;
+// inner tier). Every port of the block is vetted, holding all `count`
+// sockets bound before releasing any: base+1 can already be held by a
+// parallel suite, which shows up as a timeout, not a bind error. Bases are
+// drawn below the kernel's ephemeral range (32768 and up): bind-to-zero
+// hands out odd ephemeral ports and connect() takes even ones, and under a
+// parallel ctest nearly every even ephemeral port sits in TIME_WAIT, so an
+// ephemeral base+1 is almost never free.
+inline std::uint16_t free_port_block(int count) {
+  std::uint64_t state = static_cast<std::uint64_t>(::getpid()) ^
+                        static_cast<std::uint64_t>(
+                            std::chrono::steady_clock::now().time_since_epoch().count());
+  for (int attempt = 0; attempt < 256; ++attempt) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    const auto base = static_cast<std::uint16_t>(10000 + (state >> 33) % 20000);
     int fds[16];
     int held = 0;
     for (; held < count && held < 16; ++held) {

@@ -304,8 +304,9 @@ TEST(Engine, HierarchicalWithTcpInnerGroups) {
   cfg.set_path("topology.inner_comm._target_", ConfigNode::string("GrpcCommunicator"));
   // The engine derives each group's listen port as base+group, so the whole
   // block must be free, not just the base.
-  cfg.set_path("topology.inner_comm.port",
-               ConfigNode::integer(of::testutil::ephemeral_port_block(2)));
+  const std::uint16_t port = of::testutil::free_port_block(2);
+  ASSERT_NE(port, 0) << "no block of two free loopback ports";
+  cfg.set_path("topology.inner_comm.port", ConfigNode::integer(port));
   cfg.set_path("topology.outer_comm._target_",
                ConfigNode::string("TorchDistCommunicator"));
   Engine engine(cfg);
@@ -524,6 +525,45 @@ TEST(Engine, RobustAggregationRejectsPrivacy) {
   cfg.set_path("privacy._target_", ConfigNode::string("SecureAggregation"));
   Engine engine(cfg);
   EXPECT_THROW(engine.run(), std::runtime_error);
+}
+
+// Runs `cfg` and expects a config-time rejection whose message names the
+// reason.
+void expect_rejected(const ConfigNode& cfg, const std::string& reason) {
+  Engine engine(cfg);
+  try {
+    (void)engine.run();
+    ADD_FAILURE() << "config ran; expected rejection: " << reason;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos) << e.what();
+  }
+}
+
+TEST(Engine, RobustRulesRejectedOnRingAndHierarchical) {
+  // Ring all-reduce and the combiner tree only ever form means: a robust
+  // rule there would be silently ignored.
+  for (const char* rule : {"median", "trimmed_mean"}) {
+    ConfigNode ring = base_config();
+    ring.set_path("topology._target_", ConfigNode::string("RingTopology"));
+    ring.set_path("topology.num_nodes", ConfigNode::integer(4));
+    ring.set_path("aggregation.rule", ConfigNode::string(rule));
+    expect_rejected(ring, "robust aggregation rules need a centralized topology");
+    ConfigNode hier = hierarchical_config();
+    hier.set_path("aggregation.rule", ConfigNode::string(rule));
+    expect_rejected(hier, "robust aggregation rules need a centralized topology");
+  }
+}
+
+TEST(Engine, CombinerDeadlineWithPrivacyRejected) {
+  // A privacy combiner needs every member's update, so it always waits for
+  // its whole group: a combiner deadline would be silently ignored.
+  for (const char* mechanism : {"DifferentialPrivacy", "SecureAggregation"}) {
+    ConfigNode cfg = hierarchical_config();
+    cfg.set_path("topology.combiner.deadline_seconds", ConfigNode::floating(0.2));
+    cfg.set_path("privacy._target_", ConfigNode::string(mechanism));
+    expect_rejected(cfg, "topology.combiner.deadline_seconds cannot be combined with a "
+                         "privacy mechanism");
+  }
 }
 
 TEST(Engine, CsvExport) {

@@ -183,15 +183,38 @@ void run_group(int world, const std::function<void(int, Communicator&)>& fn) {
     if (e) std::rethrow_exception(e);
 }
 
+// The deadline-quorum gather with a store-by-rank sink: the hub's own frame
+// sits at [0], each reporting client's at its rank, and a dropped client's
+// slot stays empty. Clients only send and get no frames back.
+struct StoredGather {
+  std::vector<Bytes> frames;
+  star::StreamingGather g;
+};
+
+StoredGather gather_and_store(Communicator& c, const Bytes& mine,
+                              const star::PartialGatherOptions& opt) {
+  StoredGather out;
+  if (c.rank() == 0) {
+    out.frames.resize(static_cast<std::size_t>(c.world_size()));
+    out.frames[0] = mine;
+  }
+  out.g = star::gather_bytes_streaming(
+      c, mine,
+      [&out](int src, Bytes&& frame) {
+        out.frames[static_cast<std::size_t>(src)] = std::move(frame);
+      },
+      opt);
+  return out;
+}
+
 TEST(PartialGather, AllClientsArriveBeforeDeadline) {
   run_group(3, [](int rank, Communicator& c) {
     star::PartialGatherOptions opt{2, 5.0, 10.0};
-    const auto out =
-        star::gather_bytes_partial(c, Bytes{static_cast<std::uint8_t>(rank)}, opt);
+    const auto out = gather_and_store(c, Bytes{static_cast<std::uint8_t>(rank)}, opt);
     if (rank == 0) {
-      EXPECT_EQ(out.participated, (std::vector<int>{1, 2}));
-      EXPECT_TRUE(out.dropped.empty());
-      EXPECT_FALSE(out.deadline_hit);
+      EXPECT_EQ(out.g.participated, (std::vector<int>{1, 2}));
+      EXPECT_TRUE(out.g.dropped.empty());
+      EXPECT_FALSE(out.g.deadline_hit);
       ASSERT_EQ(out.frames.size(), 3u);
       for (std::uint8_t p = 0; p < 3; ++p)
         EXPECT_EQ(out.frames[p], Bytes{p}) << "rank " << int(p);
@@ -205,12 +228,11 @@ TEST(PartialGather, StragglerPastDeadlineIsDropped) {
   run_group(3, [](int rank, Communicator& c) {
     star::PartialGatherOptions opt{1, 0.15, 0.15};
     if (rank == 2) std::this_thread::sleep_for(std::chrono::milliseconds(600));
-    const auto out =
-        star::gather_bytes_partial(c, Bytes{static_cast<std::uint8_t>(rank)}, opt);
+    const auto out = gather_and_store(c, Bytes{static_cast<std::uint8_t>(rank)}, opt);
     if (rank == 0) {
-      EXPECT_EQ(out.participated, (std::vector<int>{1}));
-      EXPECT_EQ(out.dropped, (std::vector<int>{2}));
-      EXPECT_TRUE(out.deadline_hit);
+      EXPECT_EQ(out.g.participated, (std::vector<int>{1}));
+      EXPECT_EQ(out.g.dropped, (std::vector<int>{2}));
+      EXPECT_TRUE(out.g.deadline_hit);
     }
   });
 }
@@ -219,14 +241,13 @@ TEST(PartialGather, QuorumOutwaitsTheDeadline) {
   run_group(3, [](int rank, Communicator& c) {
     star::PartialGatherOptions opt{2, 0.05, 10.0};
     if (rank == 2) std::this_thread::sleep_for(std::chrono::milliseconds(400));
-    const auto out =
-        star::gather_bytes_partial(c, Bytes{static_cast<std::uint8_t>(rank)}, opt);
+    const auto out = gather_and_store(c, Bytes{static_cast<std::uint8_t>(rank)}, opt);
     if (rank == 0) {
       // The deadline passed with one report, but quorum=2 keeps the hub
       // waiting until the straggler lands.
-      EXPECT_EQ(out.participated, (std::vector<int>{1, 2}));
-      EXPECT_TRUE(out.dropped.empty());
-      EXPECT_TRUE(out.deadline_hit);
+      EXPECT_EQ(out.g.participated, (std::vector<int>{1, 2}));
+      EXPECT_TRUE(out.g.dropped.empty());
+      EXPECT_TRUE(out.g.deadline_hit);
     }
   });
 }
@@ -238,8 +259,7 @@ TEST(PartialGather, MissedQuorumTimesOutWithReadableError) {
                   star::PartialGatherOptions opt{2, 0.05, 0.25};
                   if (rank == 2)
                     std::this_thread::sleep_for(std::chrono::seconds(1));
-                  (void)star::gather_bytes_partial(
-                      c, Bytes{static_cast<std::uint8_t>(rank)}, opt);
+                  (void)gather_and_store(c, Bytes{static_cast<std::uint8_t>(rank)}, opt);
                 }),
       std::runtime_error);
 }

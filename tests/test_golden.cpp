@@ -2,9 +2,11 @@
 // over the final-model bytes and the exact `round,train_loss,accuracy`
 // values of every RoundRecord. A refactor of the round loops or the wire
 // framing must leave this table unchanged — the same bytes out, not merely
-// similar accuracy. Hierarchical cells hash the model bytes too: with two
-// trainers per group and two groups every fold sums at most two terms, and
-// a two-term float sum does not depend on arrival order (DESIGN.md §10).
+// similar accuracy. Hierarchical cells hash the model bytes too: the root
+// folds combiner partials in outer-rank order, and with two trainers per
+// group each combiner's arrival-order fold sums two terms, which no order
+// can change. Only combiners with three or more members still fold on
+// arrival (DESIGN.md §10).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -229,6 +231,22 @@ TEST(Golden, Hierarchical) {
       {"hier/topk", both(use_hierarchical, use_topk), true, 0x34A9C2F7D304D2B1ULL},
   };
   for (const auto& c : cells) check_cell(c);
+}
+
+TEST(Golden, HierarchicalFourGroupsFoldInRankOrder) {
+  // Four groups of two: the root folds four combiner partials, so only a
+  // rank-order fold makes the model bytes a pure function of the config.
+  // Two runs must agree byte for byte as well as match the golden.
+  const Cell cell{"hier/4x2",
+                  [](ConfigNode& cfg) {
+                    use_hierarchical(cfg);
+                    set(cfg, "topology.groups", ConfigNode::integer(4));
+                  },
+                  true, 0x5A3339B65F41DA7DULL};
+  const RunResult first = run_cell(cell);
+  const RunResult second = run_cell(cell);
+  EXPECT_EQ(first.final_model_bytes, second.final_model_bytes);
+  check_cell(cell);
 }
 
 TEST(Golden, FaultCellsMatchTheirFaultOffTwins) {

@@ -681,4 +681,25 @@ TEST(FoldEquivalence, PlainF16MatchesMeanUpdatesBitwise) {
 
 TEST(FoldEquivalence, Qsgd8MatchesMeanUpdatesBitwise) { check_all_shapes(FoldCodec::Qsgd8); }
 
+TEST(FoldEquivalence, WrapCountOnePartialMatchesTheWireLayout) {
+  // The library wrapper a privacy combiner uses builds exactly the layout
+  // above: the header goes in front and the frame bytes stay as they are.
+  // A plain-f16 body announces its repr; compressed and skip bodies do not.
+  const auto payload = make_payload(3, 240);
+  of::compression::QSGD codec(8, /*seed=*/9);
+  const std::pair<Bytes, of::core::WireRepr> cases[] = {
+      {of::core::encode_update(payload, 1.5, {}, 0, 2), of::core::WireRepr::F32},
+      {of::core::encode_update(payload, 1.5, {}, 0, 2, of::core::WireRepr::F16),
+       of::core::WireRepr::F16},
+      {of::core::encode_update(payload, 1.5, {&codec, nullptr}, 0, 2),
+       of::core::WireRepr::F32},
+      {of::core::encode_skip_update(), of::core::WireRepr::F32},
+  };
+  for (const auto& [frame, repr] : cases) {
+    Bytes wrapped = frame;
+    of::core::wrap_count_one_partial(wrapped);
+    EXPECT_EQ(wrapped, wrap_count_one(frame, repr));
+  }
+}
+
 }  // namespace
