@@ -38,7 +38,7 @@ inline std::uint16_t ephemeral_port() {
 // inner tier). Every port of the block is vetted, holding all `count`
 // sockets bound before releasing any: base+1 can already be held by a
 // parallel suite, which shows up as a timeout, not a bind error. Bases are
-// drawn below the kernel's ephemeral range (32768 and up): bind-to-zero
+// drawn below Linux's default ephemeral range (32768-60999): bind-to-zero
 // hands out odd ephemeral ports and connect() takes even ones, and under a
 // parallel ctest nearly every even ephemeral port sits in TIME_WAIT, so an
 // ephemeral base+1 is almost never free.
