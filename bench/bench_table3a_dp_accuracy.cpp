@@ -15,6 +15,8 @@
 int main() {
   const char* env = std::getenv("OMNIFED_BENCH_ROUNDS");
   const std::size_t rounds = env ? static_cast<std::size_t>(std::atoi(env)) : 15;
+  // OMNIFED_BENCH_SEED overrides the experiment seed, for multi-seed reruns.
+  const char* seed_env = std::getenv("OMNIFED_BENCH_SEED");
   const auto pairings = of::bench::paper_pairings();
   of::bench::print_header("Table 3a — accuracy under differential privacy (final acc %)",
                           "Table 3a");
@@ -25,6 +27,7 @@ int main() {
     std::fflush(stdout);
     for (const auto& p : pairings) {
       auto cfg = of::bench::experiment_config(p.model, p.dataset, "FedAvgDelta", rounds);
+      if (seed_env) cfg.set_path("seed", of::config::ConfigNode::integer(std::atoll(seed_env)));
       using of::config::ConfigNode;
       cfg.set_path("privacy._target_",
                    ConfigNode::string("src.omnifed.privacy.DifferentialPrivacy"));
@@ -42,6 +45,7 @@ int main() {
   std::printf("%-18s", "no privacy");
   for (const auto& p : pairings) {
     auto cfg = of::bench::experiment_config(p.model, p.dataset, "FedAvgDelta", rounds);
+    if (seed_env) cfg.set_path("seed", of::config::ConfigNode::integer(std::atoll(seed_env)));
     of::core::Engine engine(cfg);
     std::printf(" | %11.2f%%", engine.run().final_accuracy * 100.0f);
     std::fflush(stdout);

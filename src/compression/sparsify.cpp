@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 namespace of::compression {
@@ -22,17 +23,37 @@ Bytes sparse_encode(const std::vector<std::uint32_t>& idx, const std::vector<flo
   return out;
 }
 
-void sparse_decode(tensor::ConstByteSpan payload, std::vector<std::uint32_t>& idx,
-                   std::vector<float>& val) {
+namespace {
+
+// The validated layout of a sparse payload: nnz, then the index and value
+// arrays in place (unaligned).
+struct SparseView {
+  std::size_t nnz;
+  const std::uint8_t* idx;
+  const std::uint8_t* val;
+};
+
+SparseView parse_sparse(tensor::ConstByteSpan payload) {
   std::size_t off = 0;
   const auto nnz = tensor::read_pod<std::uint64_t>(payload, off);
-  OF_CHECK_MSG(nnz <= (payload.size() - off) / (sizeof(std::uint32_t) + sizeof(float)),
+  constexpr std::size_t kEntry = sizeof(std::uint32_t) + sizeof(float);
+  OF_CHECK_MSG(nnz <= (payload.size() - off) / kEntry,
                "sparse nnz " << nnz << " exceeds payload — corrupt frame?");
-  idx.resize(nnz);
-  val.resize(nnz);
-  tensor::read_span(payload, off, idx.data(), nnz);
-  tensor::read_span(payload, off, val.data(), nnz);
-  OF_CHECK_MSG(off == payload.size(), "sparse payload has trailing bytes");
+  OF_CHECK_MSG(off + nnz * kEntry == payload.size(), "sparse payload has trailing bytes");
+  const std::uint8_t* idx = payload.data() + off;
+  return {nnz, idx, idx + nnz * sizeof(std::uint32_t)};
+}
+
+}  // namespace
+
+void sparse_decode(tensor::ConstByteSpan payload, std::vector<std::uint32_t>& idx,
+                   std::vector<float>& val) {
+  const SparseView v = parse_sparse(payload);
+  idx.resize(v.nnz);
+  val.resize(v.nnz);
+  if (v.nnz == 0) return;
+  std::memcpy(idx.data(), v.idx, v.nnz * sizeof(std::uint32_t));
+  std::memcpy(val.data(), v.val, v.nnz * sizeof(float));
 }
 
 std::size_t resolve_k(double factor_or_k, bool is_factor, std::size_t numel) {
@@ -54,15 +75,19 @@ void pack_sparse(const char* codec, std::size_t numel,
   sparse_encode(out.payload, idx, val);
 }
 
+// Scatter straight from the payload view, without copying the index and
+// value arrays out first.
 void unpack_sparse(const CompressedView& c, FloatSpan out) {
   OF_CHECK_MSG(out.size() == c.original_numel, "sparse decompress size mismatch");
-  std::vector<std::uint32_t> idx;
-  std::vector<float> val;
-  sparse_decode(c.payload, idx, val);
+  const SparseView v = parse_sparse(c.payload);
   std::fill(out.begin(), out.end(), 0.0f);
-  for (std::size_t i = 0; i < idx.size(); ++i) {
-    OF_CHECK_MSG(idx[i] < c.original_numel, "sparse index out of range");
-    out[idx[i]] = val[i];
+  for (std::size_t i = 0; i < v.nnz; ++i) {
+    std::uint32_t idx = 0;
+    float val = 0.0f;
+    std::memcpy(&idx, v.idx + i * sizeof(idx), sizeof(idx));
+    std::memcpy(&val, v.val + i * sizeof(val), sizeof(val));
+    OF_CHECK_MSG(idx < c.original_numel, "sparse index out of range");
+    out[idx] = val;
   }
 }
 
@@ -98,16 +123,15 @@ TopK::TopK(double factor_or_k, bool is_factor) : spec_(factor_or_k), is_factor_(
 
 void TopK::compress(ConstFloatSpan t, Compressed& out) {
   const std::size_t k = resolve_k(spec_, is_factor_, t.size());
-  // nth_element on |values| gives the exact k-th largest magnitude.
-  std::vector<float> work(t.size());
-  for (std::size_t i = 0; i < t.size(); ++i) work[i] = std::fabs(t[i]);
-  std::nth_element(work.begin(), work.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                   work.end(), std::greater<float>());
-  const float threshold = work[k - 1];
-  std::vector<std::uint32_t> idx;
-  std::vector<float> val;
-  select_above(t, threshold, k, idx, val);
-  pack_sparse("TopK", t.size(), idx, val, out);
+  // nth_element on |values| gives the exact k-th largest magnitude. The
+  // selection buffers are members, so steady-state rounds allocate nothing.
+  work_.resize(t.size());
+  for (std::size_t i = 0; i < t.size(); ++i) work_[i] = std::fabs(t[i]);
+  std::nth_element(work_.begin(), work_.begin() + static_cast<std::ptrdiff_t>(k - 1),
+                   work_.end(), std::greater<float>());
+  const float threshold = work_[k - 1];
+  select_above(t, threshold, k, idx_, val_);
+  pack_sparse("TopK", t.size(), idx_, val_, out);
 }
 
 void TopK::decompress(const CompressedView& c, FloatSpan out) { unpack_sparse(c, out); }

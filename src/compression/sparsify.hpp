@@ -40,6 +40,9 @@ class TopK final : public Compressor {
  private:
   double spec_;
   bool is_factor_;
+  std::vector<float> work_;         // |values| for the nth_element threshold
+  std::vector<std::uint32_t> idx_;  // selected coordinates
+  std::vector<float> val_;          // their values
 };
 
 class RandomK final : public Compressor {

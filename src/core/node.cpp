@@ -248,6 +248,8 @@ void NodeRuntime::encode_or_skip(const std::vector<tensor::Tensor>& payload,
                                  privacy::PrivacyMechanism* privacy, std::size_t round) {
   if (s_.compressor)
     s_.compressor->set_stream(round, static_cast<std::uint64_t>(s_.cohort_index));
+  if (privacy != nullptr)
+    privacy->set_stream(round, static_cast<std::uint64_t>(s_.cohort_index));
   ScopedSpan span(Name::Encode, s_.node_id, round);
   try {
     encode_update_into(payload, s_.weight_scale, PayloadPlugins{s_.compressor.get(), privacy},

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "simd/simd.hpp"
+#include "exec/pool.hpp"
 
 namespace of::privacy {
 
@@ -29,32 +29,53 @@ double CompositionAccountant::advanced_epsilon(double delta_slack) const {
 }
 
 DifferentialPrivacy::DifferentialPrivacy(DpParams params, std::uint64_t seed)
-    : params_(params), sigma_(gaussian_sigma(params)), rng_(seed) {}
+    : params_(params), sigma_(gaussian_sigma(params)) {
+  stream_.key = {static_cast<std::uint32_t>(seed), static_cast<std::uint32_t>(seed >> 32)};
+}
+
+void DifferentialPrivacy::set_stream(std::uint64_t round, std::uint64_t client) {
+  stream_.round = static_cast<std::uint32_t>(round);
+  stream_.client = static_cast<std::uint32_t>(client);
+  stream_.release = 0;
+}
 
 void DifferentialPrivacy::protect(ConstFloatSpan update, int client_id, int num_clients,
                                   Bytes& out) {
   (void)client_id;
   (void)num_clients;
   const std::size_t n = update.size();
+  // The pair counter is one 32-bit Philox word.
+  OF_CHECK_MSG(n / 2 <= 0xFFFFFFFFull, "DP update of " << n << " coordinates exceeds the "
+                                       "noise counter range");
   // Clip to sensitivity C (4-lane double sum — identical between the scalar
   // and AVX2 simd tables)...
   const double norm2 = simd::sum_squares(update.data(), n);
   const double norm = std::sqrt(norm2);
   const float clip_scale =
       norm > params_.clip_norm ? static_cast<float>(params_.clip_norm / norm) : 1.0f;
-  // ...then add calibrated Gaussian noise, writing the serialized 1-D tensor
-  // straight into the (pooled) output buffer. The RNG chain is serial; the
-  // clip-and-perturb store vectorizes over the pre-drawn noise.
+  // ...then draw, scale and add the Gaussian noise in one pass, writing the
+  // serialized 1-D tensor straight into the (pooled) output buffer. Each
+  // coordinate's noise depends only on the stream and its index, so the
+  // chunks may run on any thread.
   out.clear();
   tensor::append_pod<std::uint32_t>(out, 1);
   tensor::append_pod<std::uint64_t>(out, n);
   const std::size_t start = out.size();
   out.resize(start + n * sizeof(float));
-  noise_.resize(n);
-  for (std::size_t i = 0; i < n; ++i)
-    noise_[i] = static_cast<float>(rng_.gaussian(0.0, sigma_));
-  simd::mul_add_store_bytes(out.data() + start, update.data(), clip_scale,
-                            noise_.data(), n);
+  // One captured pointer keeps the chunk callable inside std::function's
+  // small buffer, so a release allocates nothing.
+  const struct {
+    std::uint8_t* body;
+    const float* u;
+    float clip_scale;
+    double sigma;
+    simd::NoiseStream stream;
+  } job{out.data() + start, update.data(), clip_scale, sigma_, stream_};
+  exec::Pool::global().parallel_for(n, [p = &job](std::size_t b, std::size_t e) {
+    simd::dp_perturb_store_bytes(p->body + b * sizeof(float), p->u + b, p->clip_scale,
+                                 p->sigma, p->stream, b, e - b);
+  });
+  ++stream_.release;
   accountant_.record_release(params_.epsilon, params_.delta);
 }
 

@@ -5,9 +5,16 @@
 // (ε, δ)-DP calibration (Dwork & Roth Thm. A.1, the same recipe DP-SGD
 // uses per round). A composition accountant tracks the privacy budget
 // spent across rounds (basic linear and advanced composition bounds).
+//
+// The noise is counter-based: coordinate i of a release is a pure function
+// of (seed, round, client, release, i) through Philox4x32-10 (see
+// simd::dp_perturb_store_bytes), so it is drawn, clipped and added in one
+// vectorized pass split across of::exec chunks, with the same bytes at any
+// SIMD level, thread count or grain.
 #pragma once
 
 #include "privacy/mechanism.hpp"
+#include "simd/simd.hpp"
 
 namespace of::privacy {
 
@@ -42,11 +49,15 @@ class DifferentialPrivacy final : public PrivacyMechanism {
  public:
   DifferentialPrivacy(DpParams params, std::uint64_t seed);
 
+  // Each call is one release: it draws from (round, client, release) and
+  // then bumps `release`, so a second protect() in the same stream never
+  // reuses noise (two releases with one noise vector would leak u₁ − u₂).
   void protect(ConstFloatSpan update, int client_id, int num_clients, Bytes& out) override;
   void aggregate_sum(const std::vector<ConstByteSpan>& contributions, FloatSpan out) override;
   using PrivacyMechanism::protect;
   using PrivacyMechanism::aggregate_sum;
   std::string name() const override { return "DifferentialPrivacy"; }
+  void set_stream(std::uint64_t round, std::uint64_t client) override;
 
   const DpParams& params() const noexcept { return params_; }
   double sigma() const noexcept { return sigma_; }
@@ -55,9 +66,8 @@ class DifferentialPrivacy final : public PrivacyMechanism {
  private:
   DpParams params_;
   double sigma_;
-  Rng rng_;
+  simd::NoiseStream stream_;  // key = the per-node seed; counter words set per release
   CompositionAccountant accountant_;
-  std::vector<float> noise_;  // per-call draws: serial RNG, SIMD clip+add store
 };
 
 }  // namespace of::privacy

@@ -45,6 +45,15 @@ class PrivacyMechanism {
                              FloatSpan out) = 0;
   virtual std::string name() const = 0;
 
+  // Bind randomized mechanisms to a (round, client) stream, as
+  // Compressor::set_stream does for codecs: DP noise is then a pure
+  // function of (seed, round, client), not of how many protect() calls
+  // came before. Mechanisms without such a stream ignore it.
+  virtual void set_stream(std::uint64_t round, std::uint64_t client) {
+    (void)round;
+    (void)client;
+  }
+
   // Owning conveniences for tests and cold paths.
   Bytes protect(const Tensor& update, int client_id, int num_clients) {
     Bytes out;

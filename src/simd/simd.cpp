@@ -4,6 +4,7 @@
 // would diverge in the last bit.
 #include "simd/simd.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -227,11 +228,140 @@ void qsgd_dequantize_i16(float* out, const std::uint8_t* codes, float norm, floa
   qsgd_dequantize<std::int16_t>(out, codes, norm, s, n);
 }
 
-void mul_add_store_bytes(std::uint8_t* dst, const float* u, float clip_scale,
-                         const float* noise, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    const float v = u[i] * clip_scale + noise[i];
-    std::memcpy(dst + i * sizeof(float), &v, sizeof(v));
+// --- counter-based Gaussian noise -------------------------------------------
+// Philox4x32-10 constants (Random123): round multipliers and Weyl key bumps.
+constexpr std::uint32_t kPhiloxM0 = 0xD2511F53u, kPhiloxM1 = 0xCD9E8D57u;
+constexpr std::uint32_t kPhiloxW0 = 0x9E3779B9u, kPhiloxW1 = 0xBB67AE85u;
+constexpr int kPhiloxRounds = 10;
+
+std::array<std::uint32_t, 4> philox(std::array<std::uint32_t, 4> c,
+                                    std::array<std::uint32_t, 2> k) noexcept {
+  for (int r = 0; r < kPhiloxRounds; ++r) {
+    if (r > 0) {
+      k[0] += kPhiloxW0;
+      k[1] += kPhiloxW1;
+    }
+    const std::uint64_t p0 = static_cast<std::uint64_t>(kPhiloxM0) * c[0];
+    const std::uint64_t p1 = static_cast<std::uint64_t>(kPhiloxM1) * c[2];
+    c = {static_cast<std::uint32_t>(p1 >> 32) ^ c[1] ^ k[0], static_cast<std::uint32_t>(p1),
+         static_cast<std::uint32_t>(p0 >> 32) ^ c[3] ^ k[1], static_cast<std::uint32_t>(p0)};
+  }
+  return c;
+}
+
+double from_bits(std::uint64_t b) noexcept {
+  double d = 0.0;
+  std::memcpy(&d, &b, sizeof(d));
+  return d;
+}
+std::uint64_t to_bits(double d) noexcept {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &d, sizeof(b));
+  return b;
+}
+
+constexpr std::uint64_t kOneBits = 0x3FF0000000000000ull;  // 1.0
+constexpr std::uint64_t kMantissa = 0x000FFFFFFFFFFFFFull;
+constexpr double kSqrt2 = 1.41421356237309504880;
+// ln 2 split so e·ln2_hi is exact for |e| < 2^11 (fdlibm e_log.c).
+constexpr double kLn2Hi = 6.93147180369123816490e-01;
+constexpr double kLn2Lo = 1.90821492927058770002e-10;
+// fdlibm minimax coefficients: log(1+f) = f − s·(f − R(s²)), s = f/(2+f).
+constexpr double kLg1 = 6.666666666666735130e-01, kLg2 = 3.999999999940941908e-01,
+                 kLg3 = 2.857142874366239149e-01, kLg4 = 2.222219843214978396e-01,
+                 kLg5 = 1.818357216161805012e-01, kLg6 = 1.531383769920937332e-01,
+                 kLg7 = 1.479819860511658591e-01;
+// fdlibm k_sin.c / k_cos.c minimax coefficients on [−π/4, π/4].
+constexpr double kS1 = -1.66666666666666324348e-01, kS2 = 8.33333333332248946124e-03,
+                 kS3 = -1.98412698298579493134e-04, kS4 = 2.75573137070700676789e-06,
+                 kS5 = -2.50507602534068634195e-08, kS6 = 1.58969099521155010221e-10;
+constexpr double kC1 = 4.16666666666666019037e-02, kC2 = -1.38888888888741095749e-03,
+                 kC3 = 2.48015872894767294178e-05, kC4 = -2.75573143513906633035e-07,
+                 kC5 = 2.08757232129817482790e-09, kC6 = -1.13596475577881948265e-11;
+constexpr double kHalfPi = 1.57079632679489661923;
+
+// ln(u), u in [2^-52, 1]: u = 2^e·m with m in (√2/2, √2], then the fdlibm
+// reduction. Every step below has a lane-wise twin in v2::unit_log4.
+double unit_log(double u) noexcept {
+  const std::uint64_t b = to_bits(u);
+  double e = static_cast<double>(b >> 52) - 1023.0;
+  double m = from_bits((b & kMantissa) | kOneBits);
+  if (m > kSqrt2) {
+    m = m * 0.5;
+    e = e + 1.0;
+  }
+  const double f = m - 1.0;
+  const double s = f / (2.0 + f);
+  const double z = s * s;
+  const double w = z * z;
+  // Odd and even coefficients as two independent chains in w = z².
+  const double r = z * (kLg1 + w * (kLg3 + w * (kLg5 + w * kLg7))) +
+                   w * (kLg2 + w * (kLg4 + w * kLg6));
+  return e * kLn2Hi - ((s * (f - r) - e * kLn2Lo) - f);
+}
+
+// sin and cos of 2πt, t in [0, 1): the quadrant split y = 4t, q = ⌊y + ½⌋,
+// x = (y − q)·π/2 is exact up to the final multiply, so no Cody–Waite step.
+void sincos_turns(double t, double& sin_out, double& cos_out) noexcept {
+  const double y = t * 4.0;
+  // y + 0.5 > 0, so truncation is floor.
+  const auto q = static_cast<std::int64_t>(y + 0.5);
+  const double x = (y - static_cast<double>(q)) * kHalfPi;
+  const double z = x * x;
+  const double w = z * z;
+  const double ps = (kS1 + w * (kS3 + w * kS5)) + z * (kS2 + w * (kS4 + w * kS6));
+  const double pc = (kC1 + w * (kC3 + w * kC5)) + z * (kC2 + w * (kC4 + w * kC6));
+  const double sn = x + (z * x) * ps;
+  const double cs = 1.0 - (0.5 * z - w * pc);
+  // θ = q·π/2 + x: odd quadrants swap sin/cos; cos is negated in quadrants
+  // 1 and 2, sin in 2 and 3 (q = 4 is quadrant 0).
+  const double a = (q & 1) ? sn : cs;
+  const double b = (q & 1) ? cs : sn;
+  cos_out = ((q + 1) & 2) ? -a : a;
+  sin_out = (q & 2) ? -b : b;
+}
+
+// The σ-scaled Box–Muller pair of one counter, as floats: (cos, sin) arms.
+void noise_pair(const NoiseStream& st, std::uint64_t pair, double sigma, float& n0,
+                float& n1) noexcept {
+  const auto x = philox({static_cast<std::uint32_t>(pair), st.round, st.client, st.release},
+                        st.key);
+  // Top 52 bits of each 64-bit half: u1 = 1 − k·2^-52 in [2^-52, 1] (never
+  // 0, so the radius tops out at √(104·ln 2) ≈ 8.5σ), t = k'·2^-52 in [0, 1).
+  const std::uint64_t w1 = ((static_cast<std::uint64_t>(x[1]) << 32) | x[0]) >> 12;
+  const std::uint64_t w2 = ((static_cast<std::uint64_t>(x[3]) << 32) | x[2]) >> 12;
+  const double u1 = 2.0 - from_bits(w1 | kOneBits);
+  const double t = from_bits(w2 | kOneBits) - 1.0;
+  const double rs = std::sqrt(-2.0 * unit_log(u1)) * sigma;
+  double sn = 0.0, cs = 0.0;
+  sincos_turns(t, sn, cs);
+  n0 = static_cast<float>(rs * cs);
+  n1 = static_cast<float>(rs * sn);
+}
+
+void perturb_store_one(std::uint8_t* dst, float u, float clip_scale, float noise) noexcept {
+  const float v = u * clip_scale + noise;
+  std::memcpy(dst, &v, sizeof(v));
+}
+
+void dp_perturb_store_bytes(std::uint8_t* dst, const float* u, float clip_scale,
+                            double sigma, const NoiseStream& st, std::uint64_t first,
+                            std::size_t n) noexcept {
+  std::size_t j = 0;
+  float n0 = 0.0f, n1 = 0.0f;
+  if (n > 0 && (first & 1u)) {  // odd start: the sin arm of pair first/2
+    noise_pair(st, first >> 1, sigma, n0, n1);
+    perturb_store_one(dst, u[0], clip_scale, n1);
+    j = 1;
+  }
+  for (; j + 2 <= n; j += 2) {
+    noise_pair(st, (first + j) >> 1, sigma, n0, n1);
+    perturb_store_one(dst + j * sizeof(float), u[j], clip_scale, n0);
+    perturb_store_one(dst + (j + 1) * sizeof(float), u[j + 1], clip_scale, n1);
+  }
+  if (j < n) {  // lone cos arm at the end
+    noise_pair(st, (first + j) >> 1, sigma, n0, n1);
+    perturb_store_one(dst + j * sizeof(float), u[j], clip_scale, n0);
   }
 }
 
@@ -518,17 +648,173 @@ OF_AVX2 void qsgd_dequantize_i16(float* out, const std::uint8_t* codes, float no
   sc::qsgd_dequantize_i16(out + i, codes + i * sizeof(std::int16_t), norm, s, n - i);
 }
 
-OF_AVX2 void mul_add_store_bytes(std::uint8_t* dst, const float* u, float clip_scale,
-                                 const float* noise, std::size_t n) noexcept {
-  const __m256 cs = _mm256_set1_ps(clip_scale);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 r = _mm256_add_ps(_mm256_mul_ps(_mm256_loadu_ps(u + i), cs),
-                                   _mm256_loadu_ps(noise + i));
-    _mm256_storeu_ps(reinterpret_cast<float*>(dst + i * sizeof(float)), r);
+// Four Philox4x32-10 blocks, one per 64-bit lane: each 32-bit word sits in
+// the low half of its lane. _mm256_mul_epu32 reads only those low halves,
+// so the high halves may carry junk until the words are assembled.
+struct Philox4 {
+  __m256i x0, x1, x2, x3;
+};
+
+OF_AVX2 inline Philox4 philox4(__m256i c0, __m256i c1, __m256i c2, __m256i c3,
+                               const __m256i* k0, const __m256i* k1) noexcept {
+  const __m256i m0 = _mm256_set1_epi64x(sc::kPhiloxM0);
+  const __m256i m1 = _mm256_set1_epi64x(sc::kPhiloxM1);
+#pragma GCC unroll 10
+  for (int r = 0; r < sc::kPhiloxRounds; ++r) {
+    const __m256i p0 = _mm256_mul_epu32(c0, m0);
+    const __m256i p1 = _mm256_mul_epu32(c2, m1);
+    // hi(p) → low dword by a shuffle (port 5) rather than a shift, which
+    // would compete with the multiplies for ports 0/1.
+    const __m256i h0 = _mm256_shuffle_epi32(p0, _MM_SHUFFLE(3, 3, 1, 1));
+    const __m256i h1 = _mm256_shuffle_epi32(p1, _MM_SHUFFLE(3, 3, 1, 1));
+    c0 = _mm256_xor_si256(_mm256_xor_si256(h1, c1), k0[r]);
+    c1 = p1;
+    c2 = _mm256_xor_si256(_mm256_xor_si256(h0, c3), k1[r]);
+    c3 = p0;
   }
-  sc::mul_add_store_bytes(dst + i * sizeof(float), u + i, clip_scale, noise + i,
-                          n - i);
+  return {c0, c1, c2, c3};
+}
+
+// Top 52 bits of the 64-bit word (hi:lo) OR'd under the exponent of 1.0:
+// the double 1 + k·2^-52.
+OF_AVX2 inline __m256d one_plus_52(__m256i lo, __m256i hi) noexcept {
+  const __m256i w = _mm256_or_si256(_mm256_slli_epi64(hi, 32),
+                                    _mm256_and_si256(lo, _mm256_set1_epi64x(0xFFFFFFFFll)));
+  return _mm256_castsi256_pd(_mm256_or_si256(
+      _mm256_srli_epi64(w, 12), _mm256_set1_epi64x(static_cast<long long>(sc::kOneBits))));
+}
+
+// c0 + w·(c1 + w·c2) and c0 + w·(c1 + w·(c2 + w·c3)), Horner, unfused.
+OF_AVX2 inline __m256d poly2(__m256d w, double c0, double c1, double c2) noexcept {
+  __m256d p = _mm256_add_pd(_mm256_set1_pd(c1), _mm256_mul_pd(w, _mm256_set1_pd(c2)));
+  return _mm256_add_pd(_mm256_set1_pd(c0), _mm256_mul_pd(w, p));
+}
+OF_AVX2 inline __m256d poly3(__m256d w, double c0, double c1, double c2, double c3) noexcept {
+  __m256d p = _mm256_add_pd(_mm256_set1_pd(c2), _mm256_mul_pd(w, _mm256_set1_pd(c3)));
+  p = _mm256_add_pd(_mm256_set1_pd(c1), _mm256_mul_pd(w, p));
+  return _mm256_add_pd(_mm256_set1_pd(c0), _mm256_mul_pd(w, p));
+}
+
+OF_AVX2 inline __m256d unit_log4(__m256d u) noexcept {
+  const __m256i b = _mm256_castpd_si256(u);
+  // Exponent field → double via the 2^52 magic: (2^52 + k) − 2^52 = k.
+  const __m256d magic = _mm256_set1_pd(0x1p52);
+  const __m256d ef = _mm256_sub_pd(
+      _mm256_castsi256_pd(_mm256_or_si256(_mm256_srli_epi64(b, 52), _mm256_castpd_si256(magic))),
+      magic);
+  __m256d e = _mm256_sub_pd(ef, _mm256_set1_pd(1023.0));
+  __m256d m = _mm256_castsi256_pd(_mm256_or_si256(
+      _mm256_and_si256(b, _mm256_set1_epi64x(static_cast<long long>(sc::kMantissa))),
+      _mm256_set1_epi64x(static_cast<long long>(sc::kOneBits))));
+  const __m256d big = _mm256_cmp_pd(m, _mm256_set1_pd(sc::kSqrt2), _CMP_GT_OQ);
+  m = _mm256_blendv_pd(m, _mm256_mul_pd(m, _mm256_set1_pd(0.5)), big);
+  e = _mm256_blendv_pd(e, _mm256_add_pd(e, _mm256_set1_pd(1.0)), big);
+  const __m256d f = _mm256_sub_pd(m, _mm256_set1_pd(1.0));
+  const __m256d s = _mm256_div_pd(f, _mm256_add_pd(_mm256_set1_pd(2.0), f));
+  const __m256d z = _mm256_mul_pd(s, s);
+  const __m256d w = _mm256_mul_pd(z, z);
+  const __m256d r = _mm256_add_pd(
+      _mm256_mul_pd(z, poly3(w, sc::kLg1, sc::kLg3, sc::kLg5, sc::kLg7)),
+      _mm256_mul_pd(w, poly2(w, sc::kLg2, sc::kLg4, sc::kLg6)));
+  const __m256d hi = _mm256_mul_pd(e, _mm256_set1_pd(sc::kLn2Hi));
+  const __m256d lo = _mm256_mul_pd(e, _mm256_set1_pd(sc::kLn2Lo));
+  return _mm256_sub_pd(
+      hi, _mm256_sub_pd(_mm256_sub_pd(_mm256_mul_pd(s, _mm256_sub_pd(f, r)), lo), f));
+}
+
+OF_AVX2 inline void sincos_turns4(__m256d t, __m256d& sin_out, __m256d& cos_out) noexcept {
+  const __m256d y = _mm256_mul_pd(t, _mm256_set1_pd(4.0));
+  const __m256d q = _mm256_floor_pd(_mm256_add_pd(y, _mm256_set1_pd(0.5)));
+  const __m256d x = _mm256_mul_pd(_mm256_sub_pd(y, q), _mm256_set1_pd(sc::kHalfPi));
+  const __m256d z = _mm256_mul_pd(x, x);
+  const __m256d w = _mm256_mul_pd(z, z);
+  const __m256d ps = _mm256_add_pd(poly2(w, sc::kS1, sc::kS3, sc::kS5),
+                                   _mm256_mul_pd(z, poly2(w, sc::kS2, sc::kS4, sc::kS6)));
+  const __m256d pc = _mm256_add_pd(poly2(w, sc::kC1, sc::kC3, sc::kC5),
+                                   _mm256_mul_pd(z, poly2(w, sc::kC2, sc::kC4, sc::kC6)));
+  const __m256d sn = _mm256_add_pd(x, _mm256_mul_pd(_mm256_mul_pd(z, x), ps));
+  const __m256d cs = _mm256_sub_pd(
+      _mm256_set1_pd(1.0),
+      _mm256_sub_pd(_mm256_mul_pd(_mm256_set1_pd(0.5), z), _mm256_mul_pd(w, pc)));
+  // q in {0..4} as an integer in the low mantissa bits (2^52 magic). Bit 0
+  // (moved to the sign bit) drives blendv; bits 1 of q+1 and q are the cos
+  // and sin sign flips.
+  const __m256i qi = _mm256_castpd_si256(_mm256_add_pd(q, _mm256_set1_pd(0x1p52)));
+  const __m256d odd = _mm256_castsi256_pd(_mm256_slli_epi64(qi, 63));
+  const __m256d a = _mm256_blendv_pd(cs, sn, odd);
+  const __m256d b = _mm256_blendv_pd(sn, cs, odd);
+  const __m256i sign = _mm256_set1_epi64x(static_cast<long long>(0x8000000000000000ull));
+  const __m256i cneg = _mm256_and_si256(
+      _mm256_slli_epi64(_mm256_add_epi64(qi, _mm256_set1_epi64x(1)), 62), sign);
+  const __m256i sneg = _mm256_and_si256(_mm256_slli_epi64(qi, 62), sign);
+  cos_out = _mm256_xor_pd(a, _mm256_castsi256_pd(cneg));
+  sin_out = _mm256_xor_pd(b, _mm256_castsi256_pd(sneg));
+}
+
+OF_AVX2 void dp_perturb_store_bytes(std::uint8_t* dst, const float* u, float clip_scale,
+                                    double sigma, const NoiseStream& st,
+                                    std::uint64_t first, std::size_t n) noexcept {
+  std::size_t j = 0;
+  if (n > 0 && (first & 1u)) {  // align to a pair boundary on the scalar path
+    sc::dp_perturb_store_bytes(dst, u, clip_scale, sigma, st, first, 1);
+    j = 1;
+  }
+  if (j + 8 <= n) {
+    // Round keys and the lane-invariant counter words (round, client,
+    // release) are broadcast once.
+    __m256i k0[sc::kPhiloxRounds], k1[sc::kPhiloxRounds];
+    std::uint32_t ka = st.key[0], kb = st.key[1];
+    for (int r = 0; r < sc::kPhiloxRounds; ++r) {
+      k0[r] = _mm256_set1_epi64x(ka);
+      k1[r] = _mm256_set1_epi64x(kb);
+      ka += sc::kPhiloxW0;
+      kb += sc::kPhiloxW1;
+    }
+    const __m256i c1 = _mm256_set1_epi64x(st.round);
+    const __m256i c2 = _mm256_set1_epi64x(st.client);
+    const __m256i c3 = _mm256_set1_epi64x(st.release);
+    const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
+    const __m256d sg = _mm256_set1_pd(sigma);
+    const __m256 cv = _mm256_set1_ps(clip_scale);
+    // Three short passes over a block of pairs instead of one long loop
+    // body: each pass's iterations are independent, so the out-of-order
+    // core overlaps the Philox, log and sincos latency chains.
+    constexpr std::size_t kBlockPairs = 32;
+    alignas(32) double radius[kBlockPairs], turn[kBlockPairs];
+    while (j + 8 <= n) {
+      const std::size_t pairs = std::min(kBlockPairs, ((n - j) / 8) * 4);
+      const auto pair0 = static_cast<long long>((first + j) >> 1);
+      for (std::size_t g = 0; g < pairs; g += 4) {
+        const __m256i ctr =
+            _mm256_add_epi64(_mm256_set1_epi64x(pair0 + static_cast<long long>(g)), lane);
+        const Philox4 x = philox4(ctr, c1, c2, c3, k0, k1);
+        _mm256_store_pd(radius + g,
+                        _mm256_sub_pd(_mm256_set1_pd(2.0), one_plus_52(x.x0, x.x1)));
+        _mm256_store_pd(turn + g, _mm256_sub_pd(one_plus_52(x.x2, x.x3), _mm256_set1_pd(1.0)));
+      }
+      for (std::size_t g = 0; g < pairs; g += 4) {
+        const __m256d l = unit_log4(_mm256_load_pd(radius + g));
+        _mm256_store_pd(radius + g, _mm256_mul_pd(
+            _mm256_sqrt_pd(_mm256_mul_pd(_mm256_set1_pd(-2.0), l)), sg));
+      }
+      for (std::size_t g = 0; g < pairs; g += 4) {
+        __m256d sn, cs;
+        sincos_turns4(_mm256_load_pd(turn + g), sn, cs);
+        const __m256d rs = _mm256_load_pd(radius + g);
+        const __m128 n0 = _mm256_cvtpd_ps(_mm256_mul_pd(rs, cs));
+        const __m128 n1 = _mm256_cvtpd_ps(_mm256_mul_pd(rs, sn));
+        // Interleave the arms: coordinate 2p takes cos, 2p+1 takes sin.
+        const __m256 noise =
+            _mm256_set_m128(_mm_unpackhi_ps(n0, n1), _mm_unpacklo_ps(n0, n1));
+        const std::size_t at = j + 2 * g;
+        const __m256 v = _mm256_add_ps(_mm256_mul_ps(_mm256_loadu_ps(u + at), cv), noise);
+        _mm256_storeu_ps(reinterpret_cast<float*>(dst + at * sizeof(float)), v);
+      }
+      j += 2 * pairs;
+    }
+  }
+  sc::dp_perturb_store_bytes(dst + j * sizeof(float), u + j, clip_scale, sigma, st,
+                             first + j, n - j);
 }
 
 }  // namespace v2
@@ -568,8 +854,8 @@ struct Table {
                              std::size_t) noexcept;
   void (*qsgd_dequantize_i16)(float*, const std::uint8_t*, float, float,
                               std::size_t) noexcept;
-  void (*mul_add_store_bytes)(std::uint8_t*, const float*, float, const float*,
-                              std::size_t) noexcept;
+  void (*dp_perturb_store_bytes)(std::uint8_t*, const float*, float, double,
+                                 const NoiseStream&, std::uint64_t, std::size_t) noexcept;
 };
 
 constexpr Table kScalarTable = {
@@ -587,7 +873,7 @@ constexpr Table kScalarTable = {
     sc::qsgd_quantize_i16,
     sc::qsgd_dequantize_i8,
     sc::qsgd_dequantize_i16,
-    sc::mul_add_store_bytes,
+    sc::dp_perturb_store_bytes,
 };
 
 #ifdef OF_SIMD_X86
@@ -606,7 +892,7 @@ constexpr Table kAvx2Table = {
     v2::qsgd_quantize_i16,
     v2::qsgd_dequantize_i8,
     v2::qsgd_dequantize_i16,
-    v2::mul_add_store_bytes,
+    v2::dp_perturb_store_bytes,
 };
 
 bool cpu_has_avx2() noexcept {
@@ -719,9 +1005,18 @@ void qsgd_dequantize_i16(float* out, const std::uint8_t* codes, float norm, floa
                          std::size_t n) noexcept {
   table().qsgd_dequantize_i16(out, codes, norm, s, n);
 }
-void mul_add_store_bytes(std::uint8_t* dst, const float* u, float clip_scale,
-                         const float* noise, std::size_t n) noexcept {
-  table().mul_add_store_bytes(dst, u, clip_scale, noise, n);
+std::array<std::uint32_t, 4> philox4x32_10(std::array<std::uint32_t, 4> ctr,
+                                           std::array<std::uint32_t, 2> key) noexcept {
+  return sc::philox(ctr, key);
+}
+void dp_perturb_store_bytes(std::uint8_t* dst, const float* u, float clip_scale,
+                            double sigma, const NoiseStream& stream, std::uint64_t first,
+                            std::size_t n) noexcept {
+  table().dp_perturb_store_bytes(dst, u, clip_scale, sigma, stream, first, n);
+}
+double unit_log(double u) noexcept { return sc::unit_log(u); }
+void sincos_turns(double t, double& sin_out, double& cos_out) noexcept {
+  sc::sincos_turns(t, sin_out, cos_out);
 }
 
 }  // namespace of::simd

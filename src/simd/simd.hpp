@@ -2,10 +2,10 @@
 //
 // Every hot inner loop of the update pipeline (tensor elementwise ops, the
 // matmul/conv axpy, scale-while-flatten stores, frame-body accumulation,
-// QSGD quantize/dequantize, DP clip) funnels through this facade. At
-// configure() time the facade binds either the AVX2 kernel table (when the
-// CPU supports avx2+f16c and the mode allows it) or the scalar table; call
-// sites never branch on the ISA themselves.
+// QSGD quantize/dequantize, DP clip-and-perturb) funnels through this
+// facade. At configure() time the facade binds either the AVX2 kernel table
+// (when the CPU supports avx2+f16c and the mode allows it) or the scalar
+// table; call sites never branch on the ISA themselves.
 //
 // The contract that makes `exec: {simd: auto}` safe to flip on: every
 // kernel's scalar fallback performs the *same arithmetic in the same order*
@@ -22,6 +22,7 @@
 // NaN propagation is identical by construction.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -115,10 +116,36 @@ void qsgd_dequantize_i8(float* out, const std::uint8_t* codes, float norm, float
 void qsgd_dequantize_i16(float* out, const std::uint8_t* codes, float norm, float s,
                          std::size_t n) noexcept;
 
-// out[i] = float(u[i] * clip_scale + noise[i]) stored to unaligned bytes —
-// the DP clip-and-perturb store (noise drawn serially by the caller).
-void mul_add_store_bytes(std::uint8_t* dst, const float* u, float clip_scale,
-                         const float* noise, std::size_t n) noexcept;
+// --- DP clip-and-perturb with counter-based Gaussian noise -----------------
+// Philox4x32-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
+// 3", SC'11): ten rounds of the Random123 bijection over a 128-bit counter
+// under a 64-bit key.
+std::array<std::uint32_t, 4> philox4x32_10(std::array<std::uint32_t, 4> ctr,
+                                           std::array<std::uint32_t, 2> key) noexcept;
+
+// The stream one DP release draws from. Coordinate i takes element i % 2 of
+// the Box–Muller pair drawn from counter (i / 2, round, client, release), so
+// every coordinate's noise is a pure function of the stream and i.
+struct NoiseStream {
+  std::array<std::uint32_t, 2> key{};
+  std::uint32_t round = 0;
+  std::uint32_t client = 0;
+  std::uint32_t release = 0;
+};
+
+// dst[j] = float(u[j] * clip_scale + float(sigma·z_{first+j})), stored to
+// unaligned bytes: the fused draw + Box–Muller + clip + perturb pass. `first`
+// is the global coordinate index of u[0], so any chunking of [0, n) gives
+// the same bytes. The Gaussian uses 52-bit uniforms and only exact integer
+// ops, +, −, ×, ÷, √ and floor (no libm, no FMA), so both tables agree.
+void dp_perturb_store_bytes(std::uint8_t* dst, const float* u, float clip_scale,
+                            double sigma, const NoiseStream& stream, std::uint64_t first,
+                            std::size_t n) noexcept;
+
+// The kernel's polynomial building blocks (scalar), for the accuracy tests:
+// ln(u) for u in [2^-52, 1], and sin/cos of 2πt for t in [0, 1).
+double unit_log(double u) noexcept;
+void sincos_turns(double t, double& sin_out, double& cos_out) noexcept;
 
 }  // namespace of::simd
 

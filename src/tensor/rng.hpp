@@ -1,9 +1,11 @@
 // Deterministic, seedable pseudo-random number generation for OmniFed.
 //
 // Every stochastic component in the framework (weight init, data synthesis,
-// DP noise, stochastic quantization, RandomK sampling) draws from an
-// explicitly passed Rng so that whole federated runs are reproducible from
-// a single seed. The generator is xoshiro256**, seeded via splitmix64.
+// stochastic quantization, RandomK sampling) draws from an explicitly
+// passed Rng so that whole federated runs are reproducible from a single
+// seed. The generator is xoshiro256**, seeded via splitmix64. DP noise is
+// the exception: it comes from the counter-based Philox stream inside
+// simd::dp_perturb_store_bytes, so it can be drawn in parallel chunks.
 #pragma once
 
 #include <cstdint>

@@ -63,6 +63,7 @@ void read_span(ConstByteSpan buf, std::size_t& offset, T* out, std::size_t count
   static_assert(std::is_trivially_copyable_v<T>);
   OF_CHECK_MSG(count <= (buf.size() - std::min(offset, buf.size())) / sizeof(T),
                "buffer underrun reading span of " << count << " elements at offset " << offset);
+  if (count == 0) return;  // `out` may be null (an empty vector's data())
   std::memcpy(out, buf.data() + offset, count * sizeof(T));
   offset += count * sizeof(T);
 }

@@ -57,6 +57,55 @@ TEST(TopK, PreservedValuesAreExact) {
     if (out[i] != 0.0f) EXPECT_FLOAT_EQ(out[i], t[i]);
 }
 
+// TopK keeps its selection buffers across calls: a codec that already
+// compressed a larger and a smaller tensor writes the same bytes as a
+// fresh one.
+TEST(TopK, ReusedScratchGivesFreshCodecBytes) {
+  Rng rng(12);
+  const Tensor big = Tensor::randn({4099}, rng);
+  const Tensor small = Tensor::randn({37}, rng);
+  of::compression::TopK reused(/*factor=*/10.0, true);
+  (void)reused.compress(big);
+  (void)reused.compress(small);
+  for (const Tensor* t : {&small, &big}) {
+    of::compression::TopK fresh(10.0, true);
+    const Compressed want = fresh.compress(*t);
+    const Compressed got = reused.compress(*t);
+    EXPECT_TRUE(got.payload == want.payload);
+    EXPECT_EQ(got.original_numel, want.original_numel);
+  }
+}
+
+// Sparse decode reads peer bytes in place: a wrong count, trailing bytes
+// or an out-of-range index are rejected.
+TEST(SparseDecode, RejectsCorruptPayloads) {
+  of::compression::TopK codec(/*k=*/3, false);
+  const Tensor t = Tensor::from_vector({0.5f, -4.0f, 1.0f, 3.0f, -0.1f});
+  const Compressed good = codec.compress(t);
+  const Tensor back = codec.decompress(good);
+  EXPECT_FLOAT_EQ(back[1], -4.0f);
+  EXPECT_FLOAT_EQ(back[3], 3.0f);
+  EXPECT_FLOAT_EQ(back[0], 0.0f);
+
+  Compressed trailing = good;
+  trailing.payload.push_back(0);
+  EXPECT_THROW(codec.decompress(trailing), std::runtime_error);
+
+  Compressed too_many = good;
+  const std::uint64_t huge = 1ull << 40;
+  std::memcpy(too_many.payload.data(), &huge, sizeof(huge));
+  EXPECT_THROW(codec.decompress(too_many), std::runtime_error);
+
+  Compressed bad_index = good;
+  const std::uint32_t far = 5;  // numel is 5
+  std::memcpy(bad_index.payload.data() + sizeof(std::uint64_t), &far, sizeof(far));
+  EXPECT_THROW(codec.decompress(bad_index), std::runtime_error);
+
+  Compressed truncated = good;
+  truncated.payload.resize(4);
+  EXPECT_THROW(codec.decompress(truncated), std::runtime_error);
+}
+
 TEST(RandomK, UnbiasedInExpectation) {
   of::compression::RandomK codec(/*factor=*/4.0, true, 7);
   const Tensor t = Tensor::full({64}, 2.0f);

@@ -171,7 +171,7 @@ void plain(ConfigNode&) {}
 TEST(Golden, CentralizedInProc) {
   const Cell cells[] = {
       {"inproc/plain", plain, true, 0x711CF7E4EF72B9B5ULL},
-      {"inproc/dp", use_dp, true, 0x29DEFAB29A216E3AULL},
+      {"inproc/dp", use_dp, true, 0x2C3C36F44198F47CULL},
       {"inproc/sa", use_sa, true, 0x7B8063A7AA421174ULL},
       {"inproc/qsgd8", use_qsgd8, true, 0x09895887C6A08FC4ULL},
       {"inproc/topk", use_topk, true, 0x8F499133275BF18DULL},
@@ -183,7 +183,7 @@ TEST(Golden, CentralizedInProc) {
 TEST(Golden, CentralizedTcp) {
   const Cell cells[] = {
       {"tcp/plain", use_tcp, true, 0x711CF7E4EF72B9B5ULL},
-      {"tcp/dp", both(use_tcp, use_dp), true, 0x29DEFAB29A216E3AULL},
+      {"tcp/dp", both(use_tcp, use_dp), true, 0x2C3C36F44198F47CULL},
       {"tcp/sa", both(use_tcp, use_sa), true, 0x7B8063A7AA421174ULL},
       {"tcp/qsgd8", both(use_tcp, use_qsgd8), true, 0x09895887C6A08FC4ULL},
       {"tcp/topk", both(use_tcp, use_topk), true, 0x8F499133275BF18DULL},
@@ -227,7 +227,7 @@ TEST(Golden, ServeSyncAndDeterministicFedBuff) {
 TEST(Golden, Hierarchical) {
   const Cell cells[] = {
       {"hier/plain", use_hierarchical, true, 0xF227E37F77CC2D3EULL},
-      {"hier/dp", both(use_hierarchical, use_dp), true, 0x94B3F92F023DEB17ULL},
+      {"hier/dp", both(use_hierarchical, use_dp), true, 0x64541B7BDCDDF1CDULL},
       {"hier/topk", both(use_hierarchical, use_topk), true, 0x34A9C2F7D304D2B1ULL},
   };
   for (const auto& c : cells) check_cell(c);
@@ -254,7 +254,7 @@ TEST(Golden, FaultCellsMatchTheirFaultOffTwins) {
   // like the fault-off cell it shadows.
   const Cell cells[] = {
       {"fault/inproc/plain", use_fault, true, 0x711CF7E4EF72B9B5ULL},
-      {"fault/inproc/dp", both(use_fault, use_dp), true, 0x29DEFAB29A216E3AULL},
+      {"fault/inproc/dp", both(use_fault, use_dp), true, 0x2C3C36F44198F47CULL},
       {"fault/inproc/median", both(use_fault, use_median), true, 0xB9C3B760AFEB0B17ULL},
       {"fault/tcp/plain", both(use_fault, use_tcp), true, 0x711CF7E4EF72B9B5ULL},
       {"fault/tcp/qsgd8", both(use_fault, both(use_tcp, use_qsgd8)), true,

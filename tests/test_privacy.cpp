@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 
 #include "privacy/biguint.hpp"
 #include "privacy/dh.hpp"
@@ -11,6 +14,8 @@
 #include "privacy/secure_agg.hpp"
 #include "privacy/sha256.hpp"
 #include "config/yaml.hpp"
+#include "exec/pool.hpp"
+#include "simd/simd.hpp"
 
 namespace {
 
@@ -397,6 +402,133 @@ TEST(Dp, AggregateSumIsPlainSum) {
       {none.protect(a, 0, 2), none.protect(b, 1, 2)}, 2);
   EXPECT_FLOAT_EQ(sum[0], 4.0f);
   EXPECT_FLOAT_EQ(sum[1], 6.0f);
+}
+
+// --- counter-based DP noise ----------------------------------------------------------
+
+// Philox4x32-10 known-answer vectors from Random123 (kat_vectors).
+TEST(Philox, Random123KnownAnswers) {
+  using Ctr = std::array<std::uint32_t, 4>;
+  using Key = std::array<std::uint32_t, 2>;
+  EXPECT_EQ(of::simd::philox4x32_10(Ctr{0, 0, 0, 0}, Key{0, 0}),
+            (Ctr{0x6627e8d5, 0xe169c58d, 0xbc57ac4c, 0x9b00dbd8}));
+  EXPECT_EQ(of::simd::philox4x32_10(Ctr{0xffffffff, 0xffffffff, 0xffffffff, 0xffffffff},
+                                    Key{0xffffffff, 0xffffffff}),
+            (Ctr{0x408f276d, 0x41c83b0e, 0xa20bc7c6, 0x6d5451fd}));
+  EXPECT_EQ(of::simd::philox4x32_10(Ctr{0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344},
+                                    Key{0xa4093822, 0x299f31d0}),
+            (Ctr{0xd16cfe09, 0x94fdcceb, 0x5001e420, 0x24126ea1}));
+}
+
+Bytes protect_once(std::uint64_t seed, std::uint64_t round, std::uint64_t client,
+                   const Tensor& update) {
+  of::privacy::DifferentialPrivacy dp({1.0, 1e-5, 1.0}, seed);
+  dp.set_stream(round, client);
+  return dp.protect(update, static_cast<int>(client), 4);
+}
+
+Tensor random_update(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Tensor t({n});
+  for (std::size_t i = 0; i < n; ++i) t[i] = static_cast<float>(rng.gaussian(0.0, 0.01));
+  return t;
+}
+
+// protect() is a pure function of (seed, round, client, release): the same
+// bytes for threads 1 vs 4 and grain 1 vs 4096 on the exec pool.
+TEST(DpStream, BytesIndependentOfThreadsAndGrain) {
+  const Tensor u = random_update(50001, 3);
+  auto& pool = of::exec::Pool::global();
+  pool.configure(1, 4096);
+  const Bytes serial = protect_once(99, 4, 2, u);
+  pool.configure(4, 4096);
+  const Bytes threaded = protect_once(99, 4, 2, u);
+  pool.configure(4, 1);
+  const Bytes fine = protect_once(99, 4, 2, u);
+  pool.configure(1, 4096);
+  const Bytes fine_serial = protect_once(99, 4, 2, u);
+  pool.configure(1);
+  EXPECT_TRUE(serial == threaded);
+  EXPECT_TRUE(serial == fine);
+  EXPECT_TRUE(serial == fine_serial);
+}
+
+TEST(DpStream, OutputDependsOnlyOnTheStream) {
+  const Tensor u = random_update(1001, 4);
+  const Bytes fresh = protect_once(7, 5, 2, u);
+  // The same stream after unrelated releases on the same mechanism.
+  of::privacy::DifferentialPrivacy dp({1.0, 1e-5, 1.0}, 7);
+  (void)dp.protect(u, 0, 4);
+  dp.set_stream(1, 0);
+  (void)dp.protect(u, 0, 4);
+  (void)dp.protect(u, 0, 4);
+  dp.set_stream(5, 2);
+  EXPECT_TRUE(dp.protect(u, 2, 4) == fresh);
+  // Every stream coordinate moves the noise.
+  EXPECT_FALSE(protect_once(8, 5, 2, u) == fresh);
+  EXPECT_FALSE(protect_once(7, 6, 2, u) == fresh);
+  EXPECT_FALSE(protect_once(7, 5, 3, u) == fresh);
+}
+
+TEST(DpStream, SecondReleaseOnOneStreamDrawsNewNoise) {
+  const Tensor u = random_update(1001, 5);
+  of::privacy::DifferentialPrivacy dp({1.0, 1e-5, 1.0}, 11);
+  dp.set_stream(3, 1);
+  const Tensor first = of::tensor::deserialize_tensor(dp.protect(u, 1, 4));
+  const Tensor second = of::tensor::deserialize_tensor(dp.protect(u, 1, 4));
+  std::size_t same = 0;
+  for (std::size_t i = 0; i < u.numel(); ++i) same += first[i] == second[i];
+  EXPECT_EQ(same, 0u);
+  EXPECT_EQ(dp.accountant().releases(), 2u);
+  // Rebinding the stream restarts at release 0.
+  dp.set_stream(3, 1);
+  const Tensor again = of::tensor::deserialize_tensor(dp.protect(u, 1, 4));
+  EXPECT_EQ(std::memcmp(again.data(), first.data(), u.numel() * sizeof(float)), 0);
+}
+
+// 1M draws of the kernel's unit Gaussian (u = 0, σ = 1) against N(0, 1):
+// moments, a Kolmogorov–Smirnov statistic, and the 3σ/4σ tail counts.
+TEST(DpStream, NoiseIsStandardNormal) {
+  const std::size_t n = 1u << 20;
+  const std::vector<float> zero(n, 0.0f);
+  std::vector<float> z(n);
+  const of::simd::NoiseStream stream{{0xC0FFEEu, 0u}, 0, 0, 0};
+  of::simd::dp_perturb_store_bytes(reinterpret_cast<std::uint8_t*>(z.data()), zero.data(),
+                                   0.0f, 1.0, stream, 0, n);
+  double m1 = 0.0, m2 = 0.0, m4 = 0.0;
+  std::size_t beyond3 = 0, beyond4 = 0;
+  for (float v : z) {
+    const double d = v;
+    m1 += d;
+    m2 += d * d;
+    m4 += d * d * d * d;
+    beyond3 += std::fabs(d) > 3.0;
+    beyond4 += std::fabs(d) > 4.0;
+  }
+  const double nn = static_cast<double>(n);
+  m1 /= nn;
+  m2 /= nn;
+  m4 /= nn;
+  // Five standard errors: √(1/n), √(2/n), √(24/n).
+  EXPECT_NEAR(m1, 0.0, 5.0 * std::sqrt(1.0 / nn));
+  EXPECT_NEAR(m2, 1.0, 5.0 * std::sqrt(2.0 / nn));
+  EXPECT_NEAR(m4 / (m2 * m2), 3.0, 5.0 * std::sqrt(24.0 / nn));
+
+  std::sort(z.begin(), z.end());
+  double ks = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double cdf = 0.5 * std::erfc(-static_cast<double>(z[i]) / std::sqrt(2.0));
+    ks = std::max({ks, cdf - static_cast<double>(i) / nn,
+                   static_cast<double>(i + 1) / nn - cdf});
+  }
+  EXPECT_LT(ks, 1.95 / std::sqrt(nn));  // the α = 0.001 critical value
+
+  const auto within_binomial = [nn](std::size_t count, double p) {
+    const double mean = nn * p, sd = std::sqrt(nn * p * (1.0 - p));
+    return std::fabs(static_cast<double>(count) - mean) <= 5.0 * sd;
+  };
+  EXPECT_TRUE(within_binomial(beyond3, std::erfc(3.0 / std::sqrt(2.0)))) << beyond3;
+  EXPECT_TRUE(within_binomial(beyond4, std::erfc(4.0 / std::sqrt(2.0)))) << beyond4;
 }
 
 // --- secure aggregation --------------------------------------------------------------

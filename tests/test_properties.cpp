@@ -254,4 +254,50 @@ eval_every: 1
   EXPECT_EQ(serial.to_metrics_csv(), parallel.to_metrics_csv());
 }
 
+// The same contract with DP on: each trainer's noise pass splits over the
+// pool (grain 63, so chunks start on odd coordinates), and the counter-based
+// stream gives every coordinate the same noise on any thread.
+TEST(ExecDeterminism, DpRunBitwiseIdenticalAcrossThreadCounts) {
+  const auto run_with_threads = [](std::int64_t threads) {
+    ConfigNode cfg = of::config::parse_yaml(R"(
+seed: 7
+exec:
+  grain: 63
+topology:
+  _target_: src.omnifed.topology.CentralizedTopology
+  num_clients: 3
+  inner_comm:
+    _target_: src.omnifed.communicator.TorchDistCommunicator
+model: mlp_tiny
+datamodule:
+  preset: toy
+  partition: iid
+  batch_size: 16
+privacy:
+  _target_: DifferentialPrivacy
+  epsilon: 10.0
+  delta: 1.0e-5
+  clip_norm: 5.0
+algorithm:
+  _target_: src.omnifed.algorithm.FedAvg
+  global_rounds: 3
+  local_epochs: 1
+  lr: 0.05
+eval_every: 1
+)");
+    cfg.set_path("exec.threads", ConfigNode::integer(threads));
+    of::core::Engine engine(std::move(cfg));
+    return engine.run();
+  };
+
+  const auto serial = run_with_threads(1);
+  const auto parallel = run_with_threads(4);
+  of::exec::Pool::global().configure(1);  // leave later tests serial
+
+  ASSERT_FALSE(serial.final_model_bytes.empty());
+  EXPECT_TRUE(serial.final_model_bytes == parallel.final_model_bytes)
+      << "DP final model diverged between threads=1 and threads=4";
+  EXPECT_EQ(serial.to_metrics_csv(), parallel.to_metrics_csv());
+}
+
 }  // namespace

@@ -6,6 +6,7 @@
 // exercises the kernels once, so it never silently skips the scalar path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -13,6 +14,7 @@
 
 #include "config/yaml.hpp"
 #include "core/engine.hpp"
+#include "exec/pool.hpp"
 #include "simd/simd.hpp"
 #include "tensor/rng.hpp"
 
@@ -135,11 +137,13 @@ TEST(SimdIdentity, AccumulateFromUnalignedBytes) {
     const auto src = random_floats(n, 44);
     const auto acc0 = random_floats(n, 55);
     std::vector<std::uint8_t> f32_bytes(n * 4 + 3, 0);
-    std::memcpy(f32_bytes.data() + 3, src.data(), n * 4);
+    if (n > 0)  // memcpy from an empty vector's null data() is UB
+      std::memcpy(f32_bytes.data() + 3, src.data(), n * 4);
     std::vector<std::uint16_t> halves(n);
     of::simd::f32_to_f16(halves.data(), src.data(), n);
     std::vector<std::uint8_t> f16_bytes(n * 2 + 1, 0);
-    std::memcpy(f16_bytes.data() + 1, halves.data(), n * 2);
+    if (n > 0)
+      std::memcpy(f16_bytes.data() + 1, halves.data(), n * 2);
     expect_both_tables_equal([&] {
       std::vector<float> acc = acc0;
       of::simd::accum_scaled_bytes(acc.data(), f32_bytes.data() + 3, 0.2, n);
@@ -223,7 +227,8 @@ TEST(SimdIdentity, QsgdKernels) {
     of::simd::qsgd_quantize_i8(c8.data(), v.data(), draws.data(), norm, 127.0f,
                                127, n);
     std::vector<std::uint8_t> c8_bytes(n + 1, 0);
-    std::memcpy(c8_bytes.data() + 1, c8.data(), n);
+    if (n > 0)
+      std::memcpy(c8_bytes.data() + 1, c8.data(), n);
     expect_both_tables_equal([&] {
       std::vector<float> out(n, -1.0f);
       of::simd::qsgd_dequantize_i8(out.data(), c8_bytes.data() + 1, norm,
@@ -234,7 +239,8 @@ TEST(SimdIdentity, QsgdKernels) {
     of::simd::qsgd_quantize_i16(c16.data(), v.data(), draws.data(), norm,
                                 32767.0f, 32767, n);
     std::vector<std::uint8_t> c16_bytes(n * 2 + 1, 0);
-    std::memcpy(c16_bytes.data() + 1, c16.data(), n * 2);
+    if (n > 0)
+      std::memcpy(c16_bytes.data() + 1, c16.data(), n * 2);
     expect_both_tables_equal([&] {
       std::vector<float> out(n, -1.0f);
       of::simd::qsgd_dequantize_i16(out.data(), c16_bytes.data() + 1, norm,
@@ -245,16 +251,76 @@ TEST(SimdIdentity, QsgdKernels) {
 }
 
 TEST(SimdIdentity, DpClipPerturbStore) {
+  const of::simd::NoiseStream stream{{0x1234567u, 0x89ABCDEu}, 3, 5, 1};
   for (std::size_t n : kLens) {
     const auto u = random_floats(n, 99);
-    const auto noise = random_floats(n, 111);
-    expect_both_tables_equal([&] {
-      std::vector<std::uint8_t> buf(n * 4 + 1, 0xEE);
-      of::simd::mul_add_store_bytes(buf.data() + 1, u.data(), 0.8f,
-                                    noise.data(), n);
-      return buf;
-    });
+    // Even and odd global starts: an odd chunk start begins on a sin arm.
+    for (std::uint64_t first : {0ull, 1ull, 6ull, 1001ull, 0xFFFFFFF0ull}) {
+      expect_both_tables_equal([&] {
+        std::vector<std::uint8_t> buf(n * 4 + 1, 0xEE);
+        of::simd::dp_perturb_store_bytes(buf.data() + 1, u.data(), 0.8f, 0.37, stream,
+                                         first, n);
+        return buf;
+      });
+    }
   }
+}
+
+// Any split of [0, n) into chunks writes the same bytes as one pass: the
+// noise of coordinate i depends only on the stream and i.
+TEST(SimdIdentity, DpPerturbChunkingInvariant) {
+  const of::simd::NoiseStream stream{{7u, 0u}, 1, 2, 0};
+  const std::size_t n = 1001;
+  const auto u = random_floats(n, 5);
+  for (Mode mode : {Mode::Off, Mode::Auto}) {
+    of::simd::configure(mode);
+    std::vector<std::uint8_t> whole(n * 4);
+    of::simd::dp_perturb_store_bytes(whole.data(), u.data(), 0.5f, 1.0, stream, 0, n);
+    for (std::size_t chunk : {1u, 3u, 8u, 9u, 17u, 64u}) {
+      std::vector<std::uint8_t> split(n * 4, 0);
+      for (std::size_t b = 0; b < n; b += chunk) {
+        const std::size_t len = std::min(chunk, n - b);
+        of::simd::dp_perturb_store_bytes(split.data() + b * 4, u.data() + b, 0.5f, 1.0,
+                                         stream, b, len);
+      }
+      EXPECT_EQ(split, whole) << "chunk " << chunk;
+    }
+  }
+  of::simd::configure(Mode::Auto);
+}
+
+// The Box–Muller polynomials against libm over the domains the kernel
+// feeds them: every 52-bit radius uniform in (0, 1] and angle in [0, 1).
+TEST(SimdNoise, PolynomialsMatchLibm) {
+  Rng rng(2024);
+  double worst_log = 0.0, worst_trig = 0.0;
+  const auto check_log = [&](double u) {
+    worst_log = std::max(worst_log, std::fabs(of::simd::unit_log(u) - std::log(u)));
+  };
+  const auto check_trig = [&](double t) {
+    double s = 0.0, c = 0.0;
+    of::simd::sincos_turns(t, s, c);
+    const double theta = 6.283185307179586476925286766559 * t;
+    worst_trig = std::max({worst_trig, std::fabs(s - std::sin(theta)),
+                           std::fabs(c - std::cos(theta))});
+  };
+  for (int i = 0; i < 200000; ++i) {
+    const std::uint64_t k = rng.next_u64() >> 12;
+    check_log(1.0 - static_cast<double>(k) * 0x1p-52);
+    // Log-uniform too, so the deep tail's binades are all visited.
+    check_log(std::ldexp(1.0 - rng.next_double() * 0.5, -static_cast<int>(k % 52)));
+    check_trig(static_cast<double>(k) * 0x1p-52);
+  }
+  // Endpoints and the reduction's seams (octant and quadrant edges).
+  for (double u : {0x1p-52, 0x1p-51, 0.5, 0.70710678118654752, 0.70710678118654757, 1.0})
+    check_log(u);
+  for (int q = 0; q < 16; ++q) {
+    check_trig(q / 16.0);
+    check_trig(std::nextafter(q / 16.0, 1.0));
+  }
+  check_trig(std::nextafter(1.0, 0.0));
+  EXPECT_LT(worst_log, 1e-12);
+  EXPECT_LT(worst_trig, 1e-12);
 }
 
 TEST(SimdConfig, ModeKnobBindsTables) {
@@ -308,6 +374,53 @@ eval_every: 1
                         fast.final_model_bytes.data(),
                         off.final_model_bytes.size()),
             0);
+  EXPECT_EQ(off.to_metrics_csv(), fast.to_metrics_csv());
+}
+
+// Same contract through DP: the fused Philox noise kernel gives the same
+// bytes on both tables. A 63-coordinate grain makes the noise pass start
+// chunks on odd coordinates.
+TEST(SimdEndToEnd, DpFederationRunBitwiseIdentical) {
+  const auto run_with = [](const char* simd_mode) {
+    of::config::ConfigNode cfg = of::config::parse_yaml(R"(
+seed: 7
+exec:
+  threads: 1
+  grain: 63
+  simd: auto
+topology:
+  _target_: src.omnifed.topology.CentralizedTopology
+  num_clients: 3
+  inner_comm:
+    _target_: src.omnifed.communicator.TorchDistCommunicator
+model: mlp_tiny
+datamodule:
+  preset: toy
+  partition: iid
+  batch_size: 16
+privacy:
+  _target_: DifferentialPrivacy
+  epsilon: 10.0
+  delta: 1.0e-5
+  clip_norm: 5.0
+algorithm:
+  _target_: src.omnifed.algorithm.FedAvg
+  global_rounds: 2
+  local_epochs: 1
+  lr: 0.05
+eval_every: 1
+)");
+    cfg.set_path("exec.simd", of::config::ConfigNode::string(simd_mode));
+    of::core::Engine engine(cfg);
+    return engine.run();
+  };
+  const auto off = run_with("off");
+  const auto fast = run_with("auto");
+  of::simd::configure(Mode::Auto);
+  of::exec::Pool::global().configure(1);
+  ASSERT_FALSE(off.final_model_bytes.empty());
+  EXPECT_TRUE(off.final_model_bytes == fast.final_model_bytes)
+      << "DP final model diverged between simd off and auto";
   EXPECT_EQ(off.to_metrics_csv(), fast.to_metrics_csv());
 }
 
