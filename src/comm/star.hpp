@@ -32,8 +32,10 @@ void broadcast_bytes(Communicator& c, Bytes& b, int root);
 //
 // The hub never materializes the frame set: each client frame is handed to
 // `sink(src, frame)` the moment it arrives (the hub's own contribution `b`
-// is NOT sunk — the caller already holds it). With a StreamingSum behind
-// the sink, hub aggregation state is O(model), not O(clients × model). A
+// is NOT sunk — the caller already holds it). With a rank-order
+// StreamingSum fold behind the sink, hub aggregation state is O(model), not
+// O(clients × model), as long as frames arrive in rank order; a frame that
+// arrives ahead of a lower rank stays parked until that rank comes in. A
 // client sends exactly what gather_bytes sends, so clients may call either.
 
 struct PartialGatherOptions {

@@ -387,31 +387,25 @@ NodeReport NodeRuntime::run_hub(comm::Communicator& inner, comm::Communicator* o
   state.params = s_.algorithm_params;
   if (is_root) state.global = algo.initial_global(s_.model);
   const int members = inner.world_size() - 1;
-  // A combiner without privacy folds each frame into a partial sum as it
-  // arrives (O(model) state); every other hub collects the frames by rank.
-  const bool streaming = outer != nullptr && s_.privacy == nullptr;
+  // A mean-rule hub without privacy folds every frame into one StreamingSum
+  // in rank order; privacy hubs and robust rules collect the frames by rank.
+  const bool fold = s_.privacy == nullptr && s_.aggregation_rule == AggregationRule::Mean;
   StreamingSum group_sum(pool_, s_.compressor.get());
-  // Centralized fault runs cut stragglers at the fault deadline; streaming
+  // Centralized fault runs cut stragglers at the fault deadline; folding
   // combiners at the combiner deadline, if set. Other hubs wait for all.
   const bool hier_cut = s_.hier_deadline_seconds > 0;
   std::optional<comm::star::PartialGatherOptions> cut;
   if (outer == nullptr && s_.fault.enabled)
     cut = {{s_.fault.min_clients, s_.fault.round_deadline_seconds,
             s_.fault.quorum_timeout_seconds}};
-  else if (streaming)
+  else if (outer != nullptr && fold)
     cut = {{hier_cut ? std::min(s_.hier_min_clients, members) : members,
             hier_cut ? s_.hier_deadline_seconds : 60.0, 60.0}};
-  // Frames and metric trailers parked by rank, so the collected folds and
-  // every metric sum run in rank order whatever the arrival order.
+  // Frames and metric trailers parked by rank, so every fold and metric sum
+  // runs in rank order whatever the arrival order.
   std::vector<tensor::Bytes> frames(static_cast<std::size_t>(inner.world_size()));
   std::vector<RoundMetrics> metrics(frames.size());
-  const auto take = [&](int src, tensor::Bytes&& frame) {
-    const auto r = static_cast<std::size_t>(src);
-    if (telem_on_) strip_telemetry(frame);
-    metrics[r] = strip_metrics(frame);
-    if (streaming) group_sum.add(frame);
-    else frames[r] = std::move(frame);
-  };
+  std::size_t parked_peak = 0;  // run-wide, like StreamingSum::peak_bytes
 
   for (std::size_t round = 0; round < s_.global_rounds; ++round) {
     ScopedSpan round_span(Name::Round, s_.node_id, round);
@@ -425,16 +419,51 @@ NodeReport NodeRuntime::run_hub(comm::Communicator& inner, comm::Communicator* o
       span.set_arg(gbytes.size());
     }
     group_sum.reset();
+    MetricSums<double> central;  // the centralized hub folds metrics in double,
+    RoundMetrics tree;           // the combiner tree in f32
+    std::vector<tensor::Bytes> collected;  // updates taken in rank order
+    double weight_sum = 0.0;  // Σ client weight of the contributors
+    std::size_t next = 1, parked_bytes = 0;
+    // Take the parked prefix frames[next..] in rank order, emptying each
+    // slot; a folding hub folds it in one StreamingSum pass and frees it.
+    // After the gather, drain steps over ranks that never came.
+    const auto drain = [&](bool gathered) {
+      for (; next < frames.size() && (gathered || !frames[next].empty()); ++next) {
+        tensor::Bytes frame = std::move(frames[next]);
+        if (frame.empty()) continue;
+        parked_bytes -= frame.size();
+        central.add(metrics[next]);
+        tree.add(metrics[next]);
+        if (is_skip_update(frame)) continue;
+        // rank next ↔ cohort index next-1
+        if (next - 1 < s_.client_weights.size()) weight_sum += s_.client_weights[next - 1];
+        collected.push_back(std::move(frame));
+      }
+      if (!fold) return;
+      group_sum.add(collected);
+      collected.clear();
+    };
+    // Park a frame in its rank slot. A streaming gather folds the ready
+    // prefix on every arrival, so only frames ahead of a missing lower rank
+    // stay parked; a plain gather already holds the whole group, so it
+    // parks everything and folds once.
+    const auto take = [&](int src, tensor::Bytes&& frame) {
+      if (telem_on_) strip_telemetry(frame);
+      metrics[static_cast<std::size_t>(src)] = strip_metrics(frame);
+      OF_CHECK_MSG(!frame.empty(), "empty update frame from rank " << src);
+      parked_bytes += frame.size();
+      frames[static_cast<std::size_t>(src)] = std::move(frame);
+      if (fold && cut) drain(false);
+      parked_peak = std::max(parked_peak, parked_bytes);
+    };
     comm::star::StreamingGather g;
+    std::vector<tensor::Bytes> all;
     ScopedSpan recv_span(Name::Recv, s_.node_id, round);
     if (cut) {
       g = comm::star::gather_bytes_streaming(inner, {}, take, *cut);
     } else {
-      auto all = inner.gather_bytes({}, 0);
-      for (int p = 1; p <= members; ++p) {
-        take(p, std::move(all[static_cast<std::size_t>(p)]));
-        g.participated.push_back(p);
-      }
+      all = inner.gather_bytes({}, 0);
+      for (int p = 1; p <= members; ++p) g.participated.push_back(p);
     }
     recv_span.end();
     if (g.deadline_hit) {
@@ -447,23 +476,16 @@ NodeReport NodeRuntime::run_hub(comm::Communicator& inner, comm::Communicator* o
     const auto agg_t0 = Clock::now();
     std::optional<ScopedSpan> agg_span(std::in_place, Name::Aggregate, s_.node_id, round,
                                        g.participated.size());
-    MetricSums<double> central;  // the centralized hub folds metrics in double,
-    RoundMetrics tree;           // the combiner tree in f32
+    if (!cut)
+      for (const int p : g.participated) take(p, std::move(all[static_cast<std::size_t>(p)]));
+    drain(true);
     std::vector<tensor::Tensor> mean;  // stays empty when every update skipped
-    std::vector<tensor::Bytes> collected;
-    collected.reserve(g.participated.size());
-    double weight_sum = 0.0;
-    for (const int p : g.participated) {
-      const auto r = static_cast<std::size_t>(p);
-      central.add(metrics[r]);
-      tree.add(metrics[r]);
-      if (streaming || is_skip_update(frames[r])) continue;
-      // rank p ↔ cohort index p-1
-      if (r - 1 < s_.client_weights.size()) weight_sum += s_.client_weights[r - 1];
-      collected.push_back(std::move(frames[r]));
-    }
-    if (!collected.empty()) {
-      mean = s_.aggregation_rule == AggregationRule::Mean
+    const std::size_t contributions = fold ? group_sum.count() : collected.size();
+    // A folding combiner forwards its sum, not a mean; privacy and robust
+    // rules never meet (config check).
+    if (contributions > 0 && !(fold && outer != nullptr)) {
+      mean = fold ? group_sum.finish_mean()
+             : s_.privacy
                  ? mean_updates(collected, s_.compressor.get(), s_.privacy.get(), &pool_)
                  : robust_combine(collected, s_.compressor.get(), s_.aggregation_rule,
                                   s_.aggregation_trim, &pool_);
@@ -472,7 +494,7 @@ NodeReport NodeRuntime::run_hub(comm::Communicator& inner, comm::Communicator* o
       // k / (N·Σ w_i) to become the exact weighted mean over the surviving
       // cohort (= 1 at full participation).
       if (s_.aggregation_rule == AggregationRule::Mean && weight_sum > 1e-12) {
-        const double corr = static_cast<double>(collected.size()) /
+        const double corr = static_cast<double>(contributions) /
                             (static_cast<double>(members) * weight_sum);
         if (std::abs(corr - 1.0) > 1e-9)
           for (auto& t : mean) t.scale_(static_cast<float>(corr));
@@ -480,7 +502,7 @@ NodeReport NodeRuntime::run_hub(comm::Communicator& inner, comm::Communicator* o
     }
 
     if (outer != nullptr) {
-      // A combiner forwards an OFP2 partial: its streamed sum at
+      // A combiner forwards an OFP2 partial: its folded sum at
       // partial_scale, or its collected group mean at weight_scale as a
       // count-1 partial. The root gathers them all, its own included, and
       // folds them in outer-rank order.
@@ -489,32 +511,28 @@ NodeReport NodeRuntime::run_hub(comm::Communicator& inner, comm::Communicator* o
         ScopedSpan span(Name::Encode, s_.node_id, round);
         if (s_.outer_compressor)
           s_.outer_compressor->set_stream(round, static_cast<std::uint64_t>(outer->rank()));
-        if (streaming) {
+        if (fold)
           group_sum.encode_partial_into(s_.partial_scale, s_.outer_compressor.get(),
                                         frame_buf_, s_.wire_repr);
-        } else {
-          if (mean.empty())
-            frame_buf_ = encode_skip_update();
-          else
-            encode_update_into(mean, s_.weight_scale, {s_.outer_compressor.get(), nullptr},
-                               outer->rank(), outer->world_size(), pool_, frame_buf_,
-                               s_.wire_repr);
-          wrap_count_one_partial(frame_buf_);
-        }
+        else if (mean.empty())
+          frame_buf_ = encode_skip_update();
+        else
+          encode_update_into(mean, s_.weight_scale, {s_.outer_compressor.get(), nullptr},
+                             outer->rank(), outer->world_size(), pool_, frame_buf_,
+                             s_.wire_repr);
+        if (!fold) wrap_count_one_partial(frame_buf_);
         span.set_arg(frame_buf_.size());
       }
-      if (s_.obs_telemetry && streaming) {
-        obs::Fleet::CombinerHealth ch;
-        ch.group = s_.group;
-        ch.round = static_cast<std::uint32_t>(round);
-        ch.participated = static_cast<std::uint32_t>(g.participated.size());
-        ch.expected = static_cast<std::uint32_t>(members);
-        ch.dropped = static_cast<std::uint32_t>(g.dropped.size());
-        ch.deadline_hit = g.deadline_hit;
-        ch.agg_peak_bytes = group_sum.peak_bytes();
-        ch.seconds = seconds_since(start.t0);
-        obs::Fleet::global().record_combiner(ch);
-      }
+      if (s_.obs_telemetry && fold)
+        obs::Fleet::global().record_combiner(
+            {.group = s_.group,
+             .round = static_cast<std::uint32_t>(round),
+             .participated = static_cast<std::uint32_t>(g.participated.size()),
+             .expected = static_cast<std::uint32_t>(members),
+             .dropped = static_cast<std::uint32_t>(g.dropped.size()),
+             .deadline_hit = g.deadline_hit,
+             .agg_peak_bytes = group_sum.peak_bytes() + parked_peak,  // + rank order's cost
+             .seconds = seconds_since(start.t0)});
       append_metrics(frame_buf_, tree);
       ScopedSpan send_span(Name::Send, s_.node_id, round, frame_buf_.size());
       std::vector<tensor::Bytes> partials = outer->gather_bytes(frame_buf_, 0);

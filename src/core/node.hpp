@@ -100,11 +100,12 @@ struct NodeSetup {
   int cohort_index = 0;       // index within the aggregation cohort
   int cohort_size = 1;
 
-  // Hierarchical combiner tier (leaders only). A leader streams its group's
-  // updates into a StreamingSum and forwards `partial_scale × sum` upward —
-  // the scale bridges the per-client weight_scale pre-scaling to the root's
-  // divide-by-total-count mean, so the tree reproduces the flat weighted
-  // mean exactly at full participation. deadline 0 = wait for the whole
+  // Hierarchical combiner tier (leaders only). A leader folds its group's
+  // updates into a StreamingSum in rank order, parking early arrivals, and
+  // forwards `partial_scale × sum` upward — the scale bridges the
+  // per-client weight_scale pre-scaling to the root's divide-by-total-count
+  // mean, so the tree reproduces the flat weighted mean exactly at full
+  // participation. deadline 0 = wait for the whole
   // group; with a deadline, stragglers are cut once `hier_min_clients`
   // reported. A privacy leader collects its whole group instead and
   // forwards the group mean at `weight_scale` as a count-1 partial.

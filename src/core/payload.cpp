@@ -24,8 +24,14 @@ using tensor::FloatSpan;
 // bitwise identical and the gate may consult the thread count.
 constexpr std::size_t kAggParallelCutoff = 1 << 14;
 
-bool agg_parallel(std::size_t total) {
-  return total >= kAggParallelCutoff && exec::Pool::global().threads() > 1;
+// Run `coords(lo, hi)` over [0, total), sharded across the pool when the
+// aggregation is large enough to pay for it.
+template <class Fn>
+void for_coords(std::size_t total, const Fn& coords) {
+  if (total >= kAggParallelCutoff && exec::Pool::global().threads() > 1)
+    exec::Pool::global().parallel_for(total, 0, coords);
+  else
+    coords(0, total);
 }
 
 enum : std::uint8_t {
@@ -136,24 +142,6 @@ std::vector<Tensor> split_flat(ConstFloatSpan flat, const std::vector<tensor::Sh
   return out;
 }
 
-// Same split, straight from the (unaligned) byte body of a plain frame.
-std::vector<Tensor> split_flat_bytes(ConstByteSpan body,
-                                     const std::vector<tensor::Shape>& shapes) {
-  std::vector<Tensor> out;
-  out.reserve(shapes.size());
-  std::size_t off = 0;
-  for (const auto& shape : shapes) {
-    const std::size_t n = tensor::shape_numel(shape);
-    OF_CHECK_MSG(off + n * sizeof(float) <= body.size(), "flat payload shorter than manifest");
-    Tensor t(shape);
-    std::memcpy(t.data(), body.data() + off, n * sizeof(float));
-    off += n * sizeof(float);
-    out.push_back(std::move(t));
-  }
-  OF_CHECK_MSG(off == body.size(), "flat payload longer than manifest");
-  return out;
-}
-
 // Scale-while-flatten into a contiguous scratch span (plugin paths need the
 // flat update in one piece). The scale stays double until the final store.
 // Returns true iff every source element was finite (the fused admission
@@ -245,9 +233,10 @@ void StreamingSum::reset() {
   init_ = false;
 }
 
-void StreamingSum::ensure_shapes(const std::vector<tensor::Shape>& shapes,
+void StreamingSum::ensure_shapes(std::uint8_t mode, const std::vector<tensor::Shape>& shapes,
                                  std::size_t total) {
   if (!init_) {
+    mode_ = mode;
     shapes_ = shapes;
     total_ = total;
     acc_ = pool_->acquire_floats(total_);
@@ -256,35 +245,66 @@ void StreamingSum::ensure_shapes(const std::vector<tensor::Shape>& shapes,
     init_ = true;
     return;
   }
+  OF_CHECK_MSG(mode == mode_, "mixed payload modes in one aggregation");
   OF_CHECK_MSG(shapes.size() == shapes_.size() && total == total_,
                "payload structure mismatch");
 }
 
-void StreamingSum::add_update_frame(ConstByteSpan frame, double weight) {
-  std::size_t off = 0;
-  const auto mode = tensor::read_pod<std::uint8_t>(frame, off);
-  OF_CHECK_MSG(mode != kPrivacy,
-               "privacy frames cannot stream into a partial sum — use the "
-               "collect-then-mean path");
-  const auto shapes = read_manifest(frame, off);
-  const std::size_t total = manifest_numel(shapes);
-  ensure_shapes(shapes, total);
-  if (plain_mode(mode)) {
-    OF_CHECK_MSG(frame.size() - off == total * plain_elem_size(mode),
-                 "trailing bytes in plain payload");
-    accum_plain_bytes(mode, frame.subspan(off), weight, FloatSpan(*acc_));
-    return;
+template <class Frame>
+std::size_t StreamingSum::fold(const Frame* frames, std::size_t n, double weight) {
+  // A compressed body is decoded on this thread (codecs may keep scratch)
+  // and only its accumulate is sharded; plain bodies are checked here and
+  // added in one sharded pass below. Either way each element gets the same
+  // scalar expression, in frame order, at any thread count (DESIGN.md §8).
+  std::size_t folded = 0;
+  FramePool::FloatHandle scratch;  // one decode buffer for the whole call
+  for (std::size_t i = 0; i < n; ++i) {
+    const ConstByteSpan frame = frames[i];
+    if (is_skip_update(frame)) continue;
+    ++folded;
+    std::size_t off = 0;
+    const auto mode = tensor::read_pod<std::uint8_t>(frame, off);
+    OF_CHECK_MSG(mode != kPrivacy,
+                 "privacy frames cannot stream into a partial sum — use the "
+                 "collect-then-mean path");
+    const auto shapes = read_manifest(frame, off);
+    const std::size_t total = manifest_numel(shapes);
+    ensure_shapes(mode, shapes, total);
+    if (plain_mode(mode)) {
+      OF_CHECK_MSG(frame.size() - off == total * plain_elem_size(mode),
+                   "trailing bytes in plain payload");
+      continue;
+    }
+    if (!scratch) scratch = pool_->acquire_floats(total);
+    decode_body_into(frame, off, mode, total, decompressor_, FloatSpan(*scratch));
+    for_coords(total, [&](std::size_t lo, std::size_t hi) {
+      simd::accum_weighted(acc_->data() + lo, scratch->data() + lo,
+                           static_cast<float>(weight), hi - lo);
+    });
+    peak_bytes_ = std::max(peak_bytes_, 2 * total * sizeof(float));
   }
-  FramePool::FloatHandle scratch = pool_->acquire_floats(total);
-  decode_body_into(frame, off, mode, total, decompressor_, FloatSpan(*scratch));
-  simd::accum_weighted(acc_->data(), scratch->data(), static_cast<float>(weight), total);
-  peak_bytes_ = std::max(peak_bytes_, 2 * total * sizeof(float));
+  if (folded == 0 || !plain_mode(mode_)) return folded;
+  const std::size_t elem = plain_elem_size(mode_);
+  float* acc = acc_->data();
+  for_coords(total_, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const ConstByteSpan frame = frames[i];
+      if (is_skip_update(frame)) continue;
+      // A plain body is the frame's last total × elem bytes.
+      const std::size_t start = frame.size() - (total_ - lo) * elem;
+      accum_plain_bytes(mode_, frame.subspan(start, (hi - lo) * elem), weight,
+                        FloatSpan(acc + lo, hi - lo));
+    }
+  });
+  return folded;
 }
 
 void StreamingSum::add(ConstByteSpan frame, double weight) {
-  if (is_skip_update(frame)) return;
-  add_update_frame(frame, weight);
-  ++count_;
+  count_ += fold(&frame, 1, weight);
+}
+
+void StreamingSum::add(const std::vector<Bytes>& frames) {
+  count_ += fold(frames.data(), frames.size(), 1.0);
 }
 
 void StreamingSum::add_partial(ConstByteSpan partial) {
@@ -299,7 +319,9 @@ void StreamingSum::add_partial(ConstByteSpan partial) {
                "partial header malformed");
   off += hlen;
   if (hdr.count == 0) return;  // empty combiner: its body is a skip marker
-  add_update_frame(partial.subspan(off), 1.0);
+  const ConstByteSpan body = partial.subspan(off);
+  OF_CHECK_MSG(fold(&body, 1, 1.0) == 1,
+               "partial of " << hdr.count << " contributions carries no update body");
   count_ += static_cast<std::size_t>(hdr.count);
 }
 
@@ -472,11 +494,6 @@ std::vector<Tensor> decode_update(ConstByteSpan frame,
   const auto mode = tensor::read_pod<std::uint8_t>(frame, off);
   const auto shapes = read_manifest(frame, off);
   const std::size_t total = manifest_numel(shapes);
-  if (mode == kPlain) {
-    OF_CHECK_MSG(frame.size() - off == total * sizeof(float),
-                 "trailing bytes in plain payload");
-    return split_flat_bytes(frame.subspan(off), shapes);
-  }
   std::vector<float> flat(total);
   decode_body_into(frame, off, mode, total, decompressor, FloatSpan(flat));
   return split_flat(ConstFloatSpan(flat), shapes);
@@ -541,11 +558,7 @@ std::vector<Tensor> robust_combine(const std::vector<Bytes>& raw_frames,
       }
     }
   };
-  if (agg_parallel(total)) {
-    exec::Pool::global().parallel_for(total, 0, coords);
-  } else {
-    coords(0, total);
-  }
+  for_coords(total, coords);
   return split_flat(ConstFloatSpan(*result), shapes);
 }
 
@@ -563,100 +576,32 @@ std::vector<Tensor> mean_updates(const std::vector<Bytes>& raw_frames,
     if (!is_skip_update(f)) frames.push_back(f);
   OF_CHECK_MSG(!frames.empty(), "no client updates to aggregate (all skipped?)");
 
-  // Peek the first frame's mode + manifest.
-  std::size_t off0 = 0;
-  const auto mode = tensor::read_pod<std::uint8_t>(frames[0], off0);
-  const auto shapes = read_manifest(frames[0], off0);
-  const std::size_t total = manifest_numel(shapes);
-  const float inv_k = 1.0f / static_cast<float>(frames.size());
-
-  if (mode == kPrivacy) {
-    OF_CHECK_MSG(privacy != nullptr, "privacy payload but no mechanism configured");
-    std::vector<ConstByteSpan> bodies;
-    bodies.reserve(frames.size());
-    for (const auto& f : frames) {
-      std::size_t off = 0;
-      const auto m = tensor::read_pod<std::uint8_t>(f, off);
-      OF_CHECK_MSG(m == kPrivacy, "mixed payload modes in one aggregation");
-      (void)read_manifest(f, off);
-      const auto len = tensor::read_pod<std::uint64_t>(f, off);
-      OF_CHECK_MSG(off + len == f.size(), "privacy payload length mismatch");
-      bodies.push_back(f.subspan(off));
-    }
-    FramePool::FloatHandle sum = p.acquire_floats(total);
-    privacy->aggregate_sum(bodies, FloatSpan(*sum));
-    simd::scale(sum->data(), inv_k, total);
-    return split_flat(ConstFloatSpan(*sum), shapes);
+  if (frames[0].empty() || frames[0][0] != kPrivacy) {
+    // Plain / compressed: one streaming fold over the frames, in order.
+    StreamingSum sum(p, decompressor);
+    sum.add(raw_frames);
+    return sum.finish_mean();
   }
 
-  // Plain / compressed: accumulate every frame's body into one pooled flat
-  // accumulator, then split into the tensor-list structure once. Validate
-  // every frame's manifest up front so both execution paths below start
-  // from the same per-frame body offsets.
-  std::vector<std::size_t> body_off(frames.size());
-  for (std::size_t fi = 0; fi < frames.size(); ++fi) {
-    const ConstByteSpan f = frames[fi];
+  // Privacy: the mechanism can only form the sum; each frame is narrowed
+  // to its body for it.
+  OF_CHECK_MSG(privacy != nullptr, "privacy payload but no mechanism configured");
+  std::vector<tensor::Shape> shapes;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
     std::size_t off = 0;
-    const auto m = tensor::read_pod<std::uint8_t>(f, off);
-    OF_CHECK_MSG(m == mode, "mixed payload modes in one aggregation");
-    const auto frame_shapes = read_manifest(f, off);
-    OF_CHECK_MSG(frame_shapes.size() == shapes.size() &&
-                     manifest_numel(frame_shapes) == total,
-                 "payload structure mismatch");
-    if (plain_mode(m))
-      OF_CHECK_MSG(f.size() - off == total * plain_elem_size(m),
-                   "trailing bytes in plain payload");
-    body_off[fi] = off;
+    const auto m = tensor::read_pod<std::uint8_t>(frames[i], off);
+    OF_CHECK_MSG(m == kPrivacy, "mixed payload modes in one aggregation");
+    auto frame_shapes = read_manifest(frames[i], off);
+    if (i == 0) shapes = std::move(frame_shapes);
+    const auto len = tensor::read_pod<std::uint64_t>(frames[i], off);
+    OF_CHECK_MSG(off + len == frames[i].size(), "privacy payload length mismatch");
+    frames[i] = frames[i].subspan(off);
   }
-
-  FramePool::FloatHandle acc = p.acquire_floats(total);
-  std::fill(acc->begin(), acc->end(), 0.0f);
-
-  const std::size_t elem = plain_elem_size(mode);
-  if (plain_mode(mode) && agg_parallel(total)) {
-    // Shard coordinates across the pool; each shard walks the frames in
-    // arrival order, so every element sees the exact serial accumulation
-    // order and the mean is bitwise identical to the serial path.
-    exec::Pool::global().parallel_for(total, 0, [&](std::size_t lo, std::size_t hi) {
-      FloatSpan dst = FloatSpan(*acc).subspan(lo, hi - lo);
-      for (std::size_t fi = 0; fi < frames.size(); ++fi)
-        accum_plain_bytes(mode,
-                          frames[fi].subspan(body_off[fi] + lo * elem,
-                                             (hi - lo) * elem),
-                          1.0, dst);
-    });
-  } else if (mode == kCompressed && agg_parallel(total)) {
-    // Codecs may keep internal scratch, so decoding stays on this thread
-    // (one pooled buffer per frame); only the elementwise accumulation is
-    // sharded, again preserving the serial per-element frame order.
-    std::vector<FramePool::FloatHandle> decoded;
-    decoded.reserve(frames.size());
-    for (std::size_t fi = 0; fi < frames.size(); ++fi) {
-      FramePool::FloatHandle flat = p.acquire_floats(total);
-      decode_body_into(frames[fi], body_off[fi], mode, total, decompressor,
-                       FloatSpan(*flat));
-      decoded.push_back(std::move(flat));
-    }
-    float* a = acc->data();
-    exec::Pool::global().parallel_for(total, 0, [&](std::size_t lo, std::size_t hi) {
-      for (const auto& d : decoded) simd::add(a + lo, d->data() + lo, hi - lo);
-    });
-  } else {
-    FramePool::FloatHandle scratch;  // non-plain path only
-    if (!plain_mode(mode)) scratch = p.acquire_floats(total);
-    for (std::size_t fi = 0; fi < frames.size(); ++fi) {
-      const ConstByteSpan f = frames[fi];
-      if (plain_mode(mode)) {
-        accum_plain_bytes(mode, f.subspan(body_off[fi]), 1.0, FloatSpan(*acc));
-      } else {
-        decode_body_into(f, body_off[fi], mode, total, decompressor,
-                         FloatSpan(*scratch));
-        simd::add(acc->data(), scratch->data(), total);
-      }
-    }
-  }
-  simd::scale(acc->data(), inv_k, total);
-  return split_flat(ConstFloatSpan(*acc), shapes);
+  const std::size_t total = manifest_numel(shapes);
+  FramePool::FloatHandle sum = p.acquire_floats(total);
+  privacy->aggregate_sum(frames, FloatSpan(*sum));
+  simd::scale(sum->data(), 1.0f / static_cast<float>(frames.size()), total);
+  return split_flat(ConstFloatSpan(*sum), shapes);
 }
 
 }  // namespace of::core

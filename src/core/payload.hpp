@@ -89,9 +89,11 @@ bool is_skip_update(ConstByteSpan frame);
 
 // Aggregator side: decode frames (all clients, same plugin config) and
 // return their uniform mean in the original tensor-list structure.
-// `decompressor` is the aggregator-side codec instance (stateless decode).
-// With a pool, the flat accumulator and decode scratch come from it and the
-// aggregation runs allocation-free at steady state.
+// Plain/compressed frames fold through one StreamingSum in frame order;
+// privacy frames go to the mechanism's aggregate_sum, the only sum it can
+// form. `decompressor` is the aggregator-side codec instance (stateless
+// decode). With a pool, the flat accumulator and decode scratch come from
+// it and the aggregation runs allocation-free at steady state.
 std::vector<Tensor> mean_updates(const std::vector<Bytes>& frames,
                                  compression::Compressor* decompressor,
                                  privacy::PrivacyMechanism* privacy,
@@ -165,13 +167,19 @@ struct PartialHeader {
 // privacy group, collected then meaned) forwards its group mean.
 void wrap_count_one_partial(Bytes& frame);
 
-// Streaming partial-sum accumulator — the combiner tier's aggregation state
-// (DESIGN.md §10). Frames are folded into one pooled flat accumulator as
-// they arrive, so a combiner holds O(model) bytes no matter how many clients
-// feed it; only the partial sum (plus its contribution count) is forwarded
-// upward. Privacy frames are rejected: secure aggregation needs every masked
-// body at once, so a privacy combiner collects its group, means it, and
-// forwards the mean as a count-1 partial (wrap_count_one_partial).
+// Streaming partial-sum accumulator — the one plain/compressed mean
+// accumulator: under mean_updates, every mean-rule hub without privacy
+// (DESIGN.md §4, §10) and serve's staleness buffer. Each frame is folded
+// into one pooled flat accumulator, so the sum holds O(model) bytes no
+// matter how many frames feed it; a combiner forwards only the partial sum
+// plus its contribution count. Above a size cutoff a fold shards the
+// coordinates over the exec pool; every element keeps the same scalar
+// expression, so the sum is bitwise identical at any thread count (§8).
+// Fold order is the caller's: float addition does not associate, so hubs
+// fold in rank order. Privacy frames are rejected: secure aggregation needs
+// every masked body at once, so a privacy combiner collects its group,
+// means it, and forwards the mean as a count-1 partial
+// (wrap_count_one_partial).
 class StreamingSum {
  public:
   explicit StreamingSum(FramePool& pool,
@@ -179,11 +187,17 @@ class StreamingSum {
 
   // Forget all contributions (pooled capacity persists; peak_bytes does too).
   void reset();
-  // Fold in one client update frame (plain/compressed; skip markers are
-  // ignored and do not count as contributions), scaled by `weight` — the
+  // Fold in one client update frame (plain/compressed, the same mode as
+  // every earlier frame; skip markers are ignored and do not count as
+  // contributions), scaled by `weight` — the
   // serve tier's staleness weight α/(1+s). The default 1.0 is the exact
   // unweighted fold (multiplying by 1.0 is an IEEE identity).
   void add(ConstByteSpan frame, double weight = 1.0);
+  // Fold in several frames, unweighted (mean_updates, a hub's ready rank
+  // prefix): bitwise the same as add() on each in turn, but plain bodies fold
+  // in one pass, each coordinate shard walking every frame while its slice
+  // of the accumulator is in cache.
+  void add(const std::vector<Bytes>& frames);
   // Fold in a downstream combiner's partial produced by encode_partial_into.
   void add_partial(ConstByteSpan partial);
   // Emit `scale × sum` plus the header as a partial frame:
@@ -203,12 +217,16 @@ class StreamingSum {
   std::size_t peak_bytes() const noexcept { return peak_bytes_; }
 
  private:
-  void ensure_shapes(const std::vector<tensor::Shape>& shapes, std::size_t total);
-  void add_update_frame(ConstByteSpan frame, double weight);
+  void ensure_shapes(std::uint8_t mode, const std::vector<tensor::Shape>& shapes,
+                     std::size_t total);
+  // Fold frames[0..n) in order; returns how many were not skip markers.
+  template <class Frame>
+  std::size_t fold(const Frame* frames, std::size_t n, double weight);
 
   FramePool* pool_;
   compression::Compressor* decompressor_;
   FramePool::FloatHandle acc_;
+  std::uint8_t mode_ = 0;  // wire mode of the first folded frame
   std::vector<tensor::Shape> shapes_;
   std::size_t total_ = 0;
   std::size_t count_ = 0;

@@ -102,7 +102,7 @@ class Fleet {
     std::uint32_t expected = 0;
     std::uint32_t dropped = 0;       // stragglers cut at the deadline
     bool deadline_hit = false;
-    std::uint64_t agg_peak_bytes = 0;  // StreamingSum::peak_bytes()
+    std::uint64_t agg_peak_bytes = 0;  // StreamingSum::peak_bytes() + parked frames
     double seconds = 0.0;              // group gather + partial encode
   };
 

@@ -57,7 +57,7 @@ void add_scalar(float* d, float v, std::size_t n) noexcept;       // d[i] += v
 // t = (d > lo) ? d : lo; d = (t < hi) ? t : hi.
 void clamp(float* d, float lo, float hi, std::size_t n) noexcept;
 
-// acc[i] += s[i] * w (mul then add — never contracted).
+// acc[i] += s[i] * w (mul then add — never contracted; w == 1 adds s).
 void accum_weighted(float* acc, const float* s, float w, std::size_t n) noexcept;
 
 // --- scale-while-flatten stores (double-precision scale) -------------------

@@ -5,6 +5,7 @@
 // 2-level TCP tree with deadline-cut stragglers, and the fleet health rows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -13,7 +14,9 @@
 
 #include "comm/star.hpp"
 #include "comm/tcp.hpp"
+#include "config/yaml.hpp"
 #include "net_util.hpp"
+#include "core/engine.hpp"
 #include "core/frame_pool.hpp"
 #include "core/payload.hpp"
 #include "obs/telemetry.hpp"
@@ -49,12 +52,27 @@ TEST(StreamingSum, MatchesMeanUpdatesBitwise) {
     sum.add(frames.back());
   }
   EXPECT_EQ(sum.count(), 5u);
+  // Reference without the library's accumulator: decode each frame, add in
+  // rank order in f32, multiply by 1/k.
+  std::vector<Tensor> reference;
+  for (const auto& f : frames) {
+    const auto update = of::core::decode_update(f, nullptr);
+    if (reference.empty())
+      for (const auto& t : update) reference.push_back(Tensor::zeros(t.shape()));
+    for (std::size_t t = 0; t < update.size(); ++t)
+      for (std::size_t i = 0; i < update[t].numel(); ++i) reference[t][i] += update[t][i];
+  }
+  for (auto& t : reference)
+    for (std::size_t i = 0; i < t.numel(); ++i) t[i] *= 1.0f / 5.0f;
   const auto streamed = sum.finish_mean();
-  const auto reference = mean_updates(frames, nullptr, nullptr, &pool);
+  const auto meaned = mean_updates(frames, nullptr, nullptr, &pool);
   ASSERT_EQ(streamed.size(), reference.size());
-  for (std::size_t t = 0; t < streamed.size(); ++t)
-    for (std::size_t i = 0; i < streamed[t].numel(); ++i)
+  ASSERT_EQ(meaned.size(), reference.size());
+  for (std::size_t t = 0; t < reference.size(); ++t)
+    for (std::size_t i = 0; i < reference[t].numel(); ++i) {
       EXPECT_EQ(streamed[t][i], reference[t][i]);
+      EXPECT_EQ(meaned[t][i], reference[t][i]);
+    }
 }
 
 TEST(StreamingSum, SkipFramesDoNotCount) {
@@ -281,6 +299,46 @@ TEST(FleetCombiners, HealthRowsRenderInBothViews) {
   EXPECT_NE(health.find("combiner 1:"), std::string::npos);
   EXPECT_NE(health.find("combiner 2:"), std::string::npos);
   fleet.reset(0);  // leave the singleton clean for other suites
+}
+
+TEST(FleetCombiners, PeakBytesCountParkedFrames) {
+  // A combiner folds in rank order, so a frame that arrives ahead of a lower
+  // rank is parked until that rank comes in; the health row's peak counts
+  // those bytes on top of the accumulator. Whatever the arrival order, the
+  // peak is at least the accumulator and at most the accumulator, one
+  // decode scratch and every member's frame: (members + 2) × model bytes.
+  constexpr int kMembers = 4;
+  of::config::ConfigNode cfg = of::config::parse_yaml(R"(
+seed: 5
+topology:
+  _target_: HierarchicalTopology
+  groups: 2
+  inner_comm: {_target_: TorchDistCommunicator}
+  outer_comm: {_target_: TorchDistCommunicator}
+model: mlp_tiny
+datamodule: {preset: toy, partition: iid, batch_size: 16}
+algorithm: {_target_: FedAvg, global_rounds: 3, local_epochs: 1, lr: 0.05}
+heterogeneity: {slowdowns: [8.0, 1.0, 1.0, 1.0]}
+obs: {enabled: true, telemetry: true}
+)");
+  cfg.set_path("topology.group_size", of::config::ConfigNode::integer(kMembers));
+  of::core::Engine engine(cfg);
+  const auto result = engine.run();
+  const std::size_t model_bytes = result.model_scalars * sizeof(float);
+  ASSERT_GT(model_bytes, 0u);
+  const auto rows = of::obs::Fleet::global().combiners();
+  ASSERT_EQ(rows.size(), 2u);
+  std::uint64_t max_peak = 0;
+  for (const auto& row : rows) {
+    EXPECT_GE(row.agg_peak_bytes, model_bytes) << "combiner " << row.group;
+    EXPECT_LE(row.agg_peak_bytes, (kMembers + 2) * model_bytes) << "combiner " << row.group;
+    max_peak = std::max(max_peak, row.agg_peak_bytes);
+  }
+  // Rank 1 trains 8x slower, so its group-mates arrive first and park. The
+  // accumulator plus a decode scratch is at most 2 x model bytes; a larger
+  // peak shows that the parked frames are counted.
+  EXPECT_GT(max_peak, 2 * model_bytes);
+  of::obs::Fleet::global().reset(0);  // leave the singleton clean for other suites
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "config/yaml.hpp"
 #include "net_util.hpp"
 #include "core/engine.hpp"
+#include "obs/registry.hpp"
 
 namespace {
 
@@ -360,24 +361,46 @@ TEST(Engine, AsyncRejectsNonCentralizedAndPrivacy) {
 }
 
 TEST(Engine, AsyncNotBlockedByStraggler) {
-  // One client 8× slower: synchronous rounds collapse to the straggler's
-  // pace; async keeps absorbing the fast clients' updates. Compare the
-  // wall time to absorb the same number of updates.
-  auto timed = [](bool async) {
+  // One client 8× slower. Lockstep rounds wait for it: no update is ever
+  // applied to a model that moved on (staleness 0), and while it trains each
+  // other client delivers exactly one update. Async keeps absorbing the fast
+  // clients' updates while it trains, so some update lands `clients` or
+  // more model versions after its invite: another client delivered twice
+  // while its own client trained once, which a lockstep round never allows.
+  // Both checks count events the runs record, never wall time.
+  constexpr std::size_t kClients = 4;
+  auto run = [](bool async) {
     ConfigNode cfg = base_config();
-    cfg.set_path("algorithm.global_rounds", ConfigNode::integer(6));
+    cfg.set_path("topology.num_clients", ConfigNode::integer(kClients));
+    cfg.set_path("algorithm.global_rounds", ConfigNode::integer(12));
+    cfg.set_path("algorithm.local_epochs", ConfigNode::integer(4));
     cfg.set_path("eval_every", ConfigNode::integer(0));
     cfg.set_path("heterogeneity.slowdowns",
                  of::config::parse_yaml("v: [1.0, 1.0, 1.0, 8.0]").at("v"));
     if (async) cfg.set_path("scheduling.mode", ConfigNode::string("async"));
     Engine engine(cfg);
-    const auto t0 = std::chrono::steady_clock::now();
-    (void)engine.run();
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    return engine.run();
   };
-  const double sync_time = timed(false);
-  const double async_time = timed(true);
-  EXPECT_LT(async_time, sync_time * 1.05);
+  for (const auto& rec : run(false).rounds)
+    EXPECT_EQ(rec.mean_staleness, 0.0) << "round " << rec.round;
+
+  // The serve loop observes every update's staleness into this histogram.
+  // kClients is a power of two, so it starts a bucket.
+  const auto& hist = of::obs::Registry::global().histogram("async.staleness");
+  const auto at_least_clients = [&] {
+    std::uint64_t n = 0;
+    for (std::size_t b = of::obs::Histogram::bucket_index(kClients);
+         b < of::obs::Histogram::kBuckets; ++b)
+      n += hist.bucket_count(b);
+    return n;
+  };
+  const std::uint64_t before = at_least_clients();
+  const RunResult async = run(true);
+  ASSERT_FALSE(async.rounds.empty());
+  EXPECT_GT(async.rounds.back().mean_staleness, 0.0);
+  EXPECT_GE(at_least_clients() - before, 1u)
+      << "async served the clients in lockstep order: no update was " << kClients
+      << " or more versions stale";
 }
 
 TEST(Engine, AsyncReportsStaleness) {

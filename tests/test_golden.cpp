@@ -2,11 +2,10 @@
 // over the final-model bytes and the exact `round,train_loss,accuracy`
 // values of every RoundRecord. A refactor of the round loops or the wire
 // framing must leave this table unchanged — the same bytes out, not merely
-// similar accuracy. Hierarchical cells hash the model bytes too: the root
-// folds combiner partials in outer-rank order, and with two trainers per
-// group each combiner's arrival-order fold sums two terms, which no order
-// can change. Only combiners with three or more members still fold on
-// arrival (DESIGN.md §10).
+// similar accuracy. Hierarchical cells hash the model bytes too: every
+// combiner folds its members in rank order, parking early arrivals, and the
+// root folds the combiner partials in outer-rank order, so the tree's bytes
+// do not depend on arrival order at any group size (DESIGN.md §10).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -95,9 +94,8 @@ void use_fault(ConfigNode& cfg) {
 void use_hierarchical(ConfigNode& cfg) {
   set(cfg, "topology._target_", ConfigNode::string("HierarchicalTopology"));
   set(cfg, "topology.groups", ConfigNode::integer(2));
-  // Two trainers per group and two groups: every fold sums at most two
-  // frames, and IEEE addition is commutative, so arrival order cannot
-  // reach the metric bits.
+  // Two trainers per group; the 3×4 cell below covers combiners whose
+  // members can arrive in more than one order that matters.
   set(cfg, "topology.group_size", ConfigNode::integer(2));
   set(cfg, "topology.outer_comm._target_", ConfigNode::string("TorchDistCommunicator"));
 }
@@ -146,8 +144,7 @@ RunResult run_cell(const Cell& c) {
   return engine.run();
 }
 
-void check_cell(const Cell& c) {
-  const RunResult r = run_cell(c);
+void check_result(const Cell& c, const RunResult& r) {
   ASSERT_EQ(r.rounds.size(), 3u) << c.name;
   for (const auto& rec : r.rounds) ASSERT_TRUE(std::isfinite(rec.train_loss)) << c.name;
   if (c.with_model) {
@@ -158,6 +155,8 @@ void check_cell(const Cell& c) {
                              << "\n"
                              << metric_columns(r);
 }
+
+void check_cell(const Cell& c) { check_result(c, run_cell(c)); }
 
 auto both(std::function<void(ConfigNode&)> a, std::function<void(ConfigNode&)> b) {
   return [a, b](ConfigNode& cfg) {
@@ -247,6 +246,33 @@ TEST(Golden, HierarchicalFourGroupsFoldInRankOrder) {
   const RunResult second = run_cell(cell);
   EXPECT_EQ(first.final_model_bytes, second.final_model_bytes);
   check_cell(cell);
+}
+
+TEST(Golden, HierarchicalThreeByFourFoldsInRankOrder) {
+  // Three groups of four: each combiner sums four frames, and float
+  // addition does not associate, so only a rank-order fold makes the model
+  // bytes a pure function of the config. Two plain runs must agree byte for
+  // byte and match the golden. So must a run whose lowest-rank member of
+  // every group trains 8× slower: a slowdown only sleeps, so it reorders
+  // arrivals without changing what is computed.
+  const auto three_by_four = [](ConfigNode& cfg) {
+    use_hierarchical(cfg);
+    set(cfg, "topology.groups", ConfigNode::integer(3));
+    set(cfg, "topology.group_size", ConfigNode::integer(4));
+  };
+  const Cell cell{"hier/3x4", three_by_four, true, 0x9A33E925E0DD8B85ULL};
+  const Cell slow_first{"hier/3x4/slow-first",
+                        [&](ConfigNode& cfg) {
+                          three_by_four(cfg);
+                          set(cfg, "heterogeneity.slowdowns",
+                              parse_yaml("v: [8.0, 1.0, 1.0, 1.0]").at("v"));
+                        },
+                        true, cell.expected};
+  const RunResult first = run_cell(cell);
+  const RunResult second = run_cell(cell);
+  EXPECT_EQ(first.final_model_bytes, second.final_model_bytes);
+  check_result(cell, first);
+  check_cell(slow_first);
 }
 
 TEST(Golden, FaultCellsMatchTheirFaultOffTwins) {

@@ -583,10 +583,11 @@ TEST(PayloadF16, PartialHeaderAnnouncesReprAndOldFramesStillDecode) {
 // --- fold-order equivalence ------------------------------------------------------
 //
 // Random-valued (not integer) payloads, so float sums round: any change in
-// fold order or in the rounding of a term shows up in the low bits. The
-// streaming fold, over raw frames or over count-1 partials wrapping them,
-// must reproduce mean_updates bitwise — the hierarchical root folds its
-// combiners' count-1 partials where the centralized hub calls mean_updates.
+// fold order or in the rounding of a term shows up in the low bits.
+// mean_updates and the streaming fold, over raw frames or over count-1
+// partials wrapping them, must all reproduce an in-test scalar fold
+// bitwise — the hierarchical root folds its combiners' count-1 partials
+// where the centralized hub folds client frames.
 
 // The OFP2 partial wire layout, built independently of the library:
 // u32 magic | u32 header_len | TLV(PartialHeader) | update frame. A skip
@@ -618,6 +619,29 @@ void expect_bitwise(const std::vector<Tensor>& got, const std::vector<Tensor>& w
   }
 }
 
+// The reference mean, built without the library's accumulator: decode
+// each contributing frame on its own, add the decoded values in rank order
+// in f32, then multiply by 1/k. Every library fold must reproduce this
+// scalar expression bitwise, at any thread count.
+std::vector<Tensor> scalar_fold_mean(const std::vector<Bytes>& frames,
+                                     of::compression::Compressor* codec) {
+  std::vector<Tensor> sum;
+  std::size_t k = 0;
+  for (const auto& f : frames) {
+    if (of::core::is_skip_update(f)) continue;
+    const auto update = of::core::decode_update(f, codec);
+    if (sum.empty())
+      for (const auto& t : update) sum.push_back(Tensor::zeros(t.shape()));
+    for (std::size_t t = 0; t < update.size(); ++t)
+      for (std::size_t i = 0; i < update[t].numel(); ++i) sum[t][i] += update[t][i];
+    ++k;
+  }
+  const float inv_k = 1.0f / static_cast<float>(k);
+  for (auto& t : sum)
+    for (std::size_t i = 0; i < t.numel(); ++i) t[i] *= inv_k;
+  return sum;
+}
+
 enum class FoldCodec { PlainF32, PlainF16, Qsgd8 };
 
 void check_fold_equivalence(FoldCodec kind, const std::vector<of::tensor::Shape>& shapes) {
@@ -646,7 +670,9 @@ void check_fold_equivalence(FoldCodec kind, const std::vector<of::tensor::Shape>
     frames.push_back(of::core::encode_update(payload, weight, plugins, c, kClients, repr));
   }
   FramePool pool;
-  const auto reference = of::core::mean_updates(frames, codec, nullptr, &pool);
+  const auto reference = scalar_fold_mean(frames, codec);
+  expect_bitwise(of::core::mean_updates(frames, codec, nullptr, &pool), reference,
+                 "mean_updates");
 
   of::core::StreamingSum added(pool, codec);
   for (const auto& f : frames) added.add(f);
@@ -660,8 +686,8 @@ void check_fold_equivalence(FoldCodec kind, const std::vector<of::tensor::Shape>
 }
 
 // Small shapes stay serial; the large ones are past the aggregation
-// parallel cutoff, so with a 4-thread pool mean_updates takes its sharded
-// path while the streaming fold stays serial.
+// parallel cutoff, so with a 4-thread pool the fold takes its
+// coordinate-sharded path.
 void check_all_shapes(FoldCodec kind) {
   check_fold_equivalence(kind, {{5, 7}, {23}, {3, 3, 3}});
   for (const std::size_t threads : {1u, 4u}) {
