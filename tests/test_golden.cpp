@@ -13,11 +13,16 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "config/compose.hpp"
 #include "config/yaml.hpp"
 #include "core/engine.hpp"
+#include "exec/pool.hpp"
 #include "net_util.hpp"
+#include "obs/telemetry.hpp"
+#include "simd/simd.hpp"
 
 namespace {
 
@@ -289,6 +294,108 @@ TEST(Golden, FaultCellsMatchTheirFaultOffTwins) {
        0x8F499133275BF18DULL},
   };
   for (const auto& c : cells) check_cell(c);
+}
+
+// The benchmark's own model shapes. mlp_tiny only has 32- and 10-wide
+// layers; these pin the 80-wide residual stack, the 256/128-wide layers and
+// the 100-wide head, and the ragged last batches: `train_per_class: 1` with
+// 3 clients leaves shards of 33 and 34 samples, so batch 32 ends in a
+// batch of one (and of two). Every variant must hash like its plain cell.
+void use_resnet_cifar10(ConfigNode& cfg) {
+  set(cfg, "model", ConfigNode::string("resnet18_mini"));
+  set(cfg, "datamodule.preset", ConfigNode::string("cifar10_like"));
+  set(cfg, "datamodule.batch_size", ConfigNode::integer(32));
+  set(cfg, "topology.num_clients", ConfigNode::integer(3));
+}
+void use_vgg_cifar100_one_per_class(ConfigNode& cfg) {
+  set(cfg, "model", ConfigNode::string("vgg11_mini"));
+  set(cfg, "datamodule.preset", ConfigNode::string("cifar100_like"));
+  set(cfg, "datamodule.train_per_class", ConfigNode::integer(1));
+  set(cfg, "datamodule.batch_size", ConfigNode::integer(32));
+  set(cfg, "topology.num_clients", ConfigNode::integer(3));
+  set(cfg, "algorithm.lr", ConfigNode::floating(0.01));
+}
+void use_simd_off(ConfigNode& cfg) { set(cfg, "exec.simd", ConfigNode::string("off")); }
+void use_four_threads(ConfigNode& cfg) { set(cfg, "exec.threads", ConfigNode::integer(4)); }
+
+// Leaves the process-wide exec state as the other suites expect it.
+struct ExecReset {
+  ~ExecReset() {
+    of::simd::configure(of::simd::Mode::Auto);
+    of::exec::Pool::global().configure(1);
+  }
+};
+
+TEST(Golden, ModelShapesResnet18Cifar10) {
+  const ExecReset reset;
+  constexpr std::uint64_t kHash = 0x9889B5309FCA6D63ULL;
+  const Cell cells[] = {
+      {"resnet/plain", use_resnet_cifar10, true, kHash},
+      {"resnet/simd-off", both(use_resnet_cifar10, use_simd_off), true, kHash},
+      {"resnet/threads4", both(use_resnet_cifar10, use_four_threads), true, kHash},
+  };
+  for (const auto& c : cells) check_cell(c);
+}
+
+TEST(Golden, ModelShapesVgg11Cifar100OnePerClass) {
+  const ExecReset reset;
+  constexpr std::uint64_t kHash = 0xFC179838B126617EULL;
+  const Cell cells[] = {
+      {"vgg/plain", use_vgg_cifar100_one_per_class, true, kHash},
+      {"vgg/simd-off", both(use_vgg_cifar100_one_per_class, use_simd_off), true, kHash},
+      {"vgg/threads4", both(use_vgg_cifar100_one_per_class, use_four_threads), true, kHash},
+  };
+  for (const auto& c : cells) check_cell(c);
+}
+
+// Tracing must never change what is computed: a traced child and an
+// untraced one have different heap histories, and the benchmark compares
+// their final-model bytes. The traced run goes over TCP, as the benchmark's.
+// The DP workload's shape: vgg11_mini on one sample per class.
+const Cell kVggDp{"vgg/dp", both(use_vgg_cifar100_one_per_class, use_dp), true,
+                  0x8FAF59461F7539F2ULL};
+
+TEST(Golden, TracingDoesNotChangeModelBytes) {
+  const Cell& cell = kVggDp;
+  const auto traced = [&](ConfigNode& cfg) {
+    cell.configure(cfg);
+    use_tcp(cfg);
+    set(cfg, "obs.enabled", ConfigNode::boolean(true));
+    set(cfg, "obs.telemetry", ConfigNode::boolean(true));
+  };
+  const RunResult plain_run = run_cell(cell);
+  const RunResult traced_run = run_cell({"vgg/dp/traced", traced, true, cell.expected});
+  of::obs::Fleet::global().reset(0);  // leave the singleton clean for other suites
+  check_result(cell, plain_run);
+  EXPECT_TRUE(plain_run.final_model_bytes == traced_run.final_model_bytes)
+      << "tracing changed the final model bytes";
+}
+
+// Fills and frees heap blocks of the sizes training allocates with 0xFF
+// bytes (a NaN pattern), on this thread and on short-lived threads whose
+// arenas later node threads inherit. Any buffer read before it is written
+// then shows up as different bytes or a non-finite model.
+void poison_heap() {
+  const auto churn = [] {
+    std::vector<std::vector<unsigned char>> blocks;
+    for (std::size_t bytes : {48u, 320u, 1024u, 4096u, 10240u, 32768u, 131072u, 262144u})
+      for (int i = 0; i < 6; ++i) blocks.emplace_back(bytes, static_cast<unsigned char>(0xFF));
+    for (std::size_t i = 0; i < blocks.size(); i += 2) blocks[i] = {};
+  };
+  churn();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) threads.emplace_back(churn);
+  for (auto& t : threads) t.join();
+}
+
+TEST(Golden, HeapHistoryDoesNotChangeModelBytes) {
+  const Cell& cell = kVggDp;
+  const RunResult first = run_cell(cell);
+  poison_heap();
+  const RunResult second = run_cell(cell);
+  check_result(cell, first);
+  EXPECT_TRUE(first.final_model_bytes == second.final_model_bytes)
+      << "heap history changed the final model bytes";
 }
 
 TEST(Golden, CrashOneCompletesWithFiniteMetrics) {
