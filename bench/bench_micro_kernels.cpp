@@ -11,6 +11,7 @@
 #include "compression/powersgd.hpp"
 #include "compression/quantize.hpp"
 #include "compression/sparsify.hpp"
+#include "nn/layers.hpp"
 #include "nn/loss.hpp"
 #include "nn/zoo.hpp"
 #include "privacy/paillier.hpp"
@@ -45,20 +46,63 @@ void BM_Matmul(benchmark::State& state) {
 }
 BENCHMARK(BM_Matmul)->Arg(32)->Arg(128);
 
-void BM_ModelForwardBackward(benchmark::State& state) {
-  auto model = of::nn::zoo::make_model("resnet18_mini", 64, 10, 1);
+// One local-training step (forward, loss, backward) at batch 32 on the
+// benchmark workloads' models: resnet18_mini on cifar10_like (64 -> 10) and
+// vgg11_mini on cifar100_like (64 -> 100).
+void BM_ModelForwardBackward(benchmark::State& state, const char* model_name,
+                             std::size_t classes) {
+  auto model = of::nn::zoo::make_model(model_name, 64, classes, 1);
   Rng rng(3);
   const Tensor x = Tensor::randn({32, 64}, rng);
   const std::vector<std::size_t> y(32, 1);
   for (auto _ : state) {
     model.zero_grad();
-    const Tensor logits = model.forward(x);
+    const Tensor& logits = model.forward(x);
     const auto lg = of::nn::softmax_cross_entropy(logits, y);
     model.backward(lg.grad);
     benchmark::DoNotOptimize(lg.loss);
   }
 }
-BENCHMARK(BM_ModelForwardBackward);
+BENCHMARK_CAPTURE(BM_ModelForwardBackward, resnet18_mini, "resnet18_mini", 10);
+BENCHMARK_CAPTURE(BM_ModelForwardBackward, vgg11_mini, "vgg11_mini", 100);
+
+// The Linear layers of those models, (batch, in, out): the forward product
+// alone, then a full forward + backward (x·W + b, xᵀ·dy, dy·Wᵀ). Rows with
+// batch 1 and 2 are the ragged last batches of `train_per_class: 1` shards.
+void LinearShapes(benchmark::internal::Benchmark* b) {
+  for (const auto& s : std::vector<std::vector<std::int64_t>>{
+           {32, 64, 80}, {32, 80, 80}, {32, 80, 10}, {32, 64, 256}, {32, 256, 256},
+           {32, 256, 128}, {32, 128, 100}, {1, 256, 256}, {2, 256, 256}})
+    b->Args(s);
+}
+
+void BM_LinearMatmul(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(2));
+  Rng rng(7);
+  const Tensor a = Tensor::randn({m, k}, rng);
+  const Tensor b = Tensor::randn({k, n}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(a.matmul(b).data());
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(2 * m * n * k));
+}
+BENCHMARK(BM_LinearMatmul)->Apply(LinearShapes);
+
+void BM_LinearStep(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(2));
+  Rng rng(8);
+  of::nn::Linear layer(k, n, rng);
+  const Tensor x = Tensor::randn({m, k}, rng);
+  const Tensor dy = Tensor::randn({m, n}, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(layer.forward(x).data());
+    benchmark::DoNotOptimize(layer.backward(dy).data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(6 * m * n * k));
+}
+BENCHMARK(BM_LinearStep)->Apply(LinearShapes);
 
 void BM_RingAllreduce(benchmark::State& state) {
   const int world = static_cast<int>(state.range(0));

@@ -38,17 +38,21 @@ TrainStats Algorithm::run_sgd_epochs(TrainContext& ctx,
   OF_CHECK_MSG(ctx.model && ctx.optimizer && ctx.loader, "incomplete TrainContext");
   TrainStats stats;
   ctx.model->set_training(true);
+  // Reused across steps, like the layers' own buffers: a steady-state step
+  // allocates nothing.
+  data::Batch batch;
+  Tensor grad;
   for (std::size_t epoch = 0; epoch < ctx.local_epochs; ++epoch) {
     if (ctx.scheduler) ctx.scheduler->on_epoch(ctx.epochs_done);
     for (std::size_t b = 0; b < ctx.loader->num_batches(); ++b) {
-      const data::Batch batch = ctx.loader->batch(b);
+      ctx.loader->batch_into(b, batch);
       ctx.model->zero_grad();
-      const Tensor logits = ctx.model->forward(batch.x);
-      const nn::LossGrad lg = nn::softmax_cross_entropy(logits, batch.y);
-      ctx.model->backward(lg.grad);
+      const Tensor& logits = ctx.model->forward(batch.x);
+      const float loss = nn::softmax_cross_entropy_into(logits, batch.y, grad);
+      ctx.model->backward(grad);
       if (pre_step) pre_step(ctx);
       ctx.optimizer->step();
-      stats.loss_sum += lg.loss;
+      stats.loss_sum += loss;
       ++stats.steps;
       stats.samples += batch.size();
     }
@@ -78,12 +82,14 @@ float evaluate_accuracy(Model& model, const data::InMemoryDataset& test,
                         std::size_t batch_size) {
   model.set_training(false);
   std::size_t correct = 0;
+  std::vector<std::size_t> idx;
+  data::Batch batch;
   for (std::size_t begin = 0; begin < test.size(); begin += batch_size) {
     const std::size_t end = std::min(begin + batch_size, test.size());
-    std::vector<std::size_t> idx(end - begin);
+    idx.resize(end - begin);
     for (std::size_t i = begin; i < end; ++i) idx[i - begin] = i;
-    const data::Batch batch = test.gather(idx);
-    const Tensor logits = model.forward(batch.x);
+    test.gather_into(idx.data(), idx.size(), batch);
+    const Tensor& logits = model.forward(batch.x);
     const auto preds = logits.argmax_rows();
     for (std::size_t i = 0; i < preds.size(); ++i)
       if (preds[i] == batch.y[i]) ++correct;

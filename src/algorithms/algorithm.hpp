@@ -128,6 +128,8 @@ class Algorithm {
 };
 
 // Evaluate top-1 accuracy of a model over a dataset (eval mode, batched).
+// Each row's logits depend only on that row in eval mode, so the accuracy
+// does not depend on batch_size; a model's layer buffers grow to it.
 float evaluate_accuracy(Model& model, const data::InMemoryDataset& test,
                         std::size_t batch_size = 256);
 

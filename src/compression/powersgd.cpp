@@ -65,7 +65,7 @@ void PowerSGD::compress(ConstFloatSpan t, Compressed& c) {
 
   Tensor p = m.matmul(q_state_);  // rows × r
   orthonormalize_columns(p);
-  Tensor q = m.transpose2d().matmul(p);  // cols × r
+  Tensor q = m.matmul_tn(p);  // cols × r
   q_state_ = q;
 
   c.codec = "PowerSGD";
@@ -88,7 +88,7 @@ void PowerSGD::decompress(const CompressedView& c, FloatSpan out) {
   tensor::read_span(c.payload, off, p.data(), p.numel());
   tensor::read_span(c.payload, off, q.data(), q.numel());
   OF_CHECK_MSG(off == c.payload.size(), "PowerSGD payload has trailing bytes");
-  Tensor m = p.matmul(q.transpose2d());  // rows × cols
+  Tensor m = p.matmul_nt(q);  // rows × cols
   OF_CHECK_MSG(c.original_numel <= m.numel(), "PowerSGD shape mismatch");
   std::copy_n(m.data(), c.original_numel, out.data());
 }

@@ -269,8 +269,9 @@ RoundMetrics NodeRuntime::round_metrics(const algorithms::TrainStats& stats,
   const bool eval_now = (s_.eval_every > 0 && (round + 1) % s_.eval_every == 0) ||
                         round + 1 == s_.global_rounds;
   if (eval_now && s_.test_set != nullptr) {
+    // Training-sized batches: the layers' buffers need not grow (DESIGN.md §15).
     nn::Model* em = s_.algorithm->eval_model(ctx_);
-    m.acc_sum = algorithms::evaluate_accuracy(*em, *s_.test_set);
+    m.acc_sum = algorithms::evaluate_accuracy(*em, *s_.test_set, s_.loader->batch_size());
     m.acc_n = 1.0f;
   }
   return m;
@@ -886,7 +887,6 @@ NodeReport NodeRuntime::run_serve_trainer(comm::Communicator& inner) {
   fault::ChurnProcess churn(s_.fault.churn, inner.rank(), s_.participation_seed);
   std::size_t round = 0;
   for (;;) {
-    maybe_clock_sync(round);
     ScopedSpan recv_span(Name::Recv, s_.node_id, round);
     tensor::Bytes frame = inner.recv_bytes(0, kServeModel);
     recv_span.set_arg(frame.size());
@@ -905,6 +905,10 @@ NodeReport NodeRuntime::run_serve_trainer(comm::Communicator& inner) {
     }
     OF_CHECK_MSG(kind == kDownInvite,
                  "serve: unexpected down-frame kind " << static_cast<int>(kind));
+    // Sync after the invite, between spans: the first burst then counts as
+    // this trainer's unattributed time instead of delaying its first span
+    // past the coordinator's first round.
+    maybe_clock_sync(round);
     if (churn.leave_now()) {
       // Churn departure: deregister, stay away, come back as a fresh
       // registration. The invite's model snapshot is discarded — the
@@ -957,7 +961,8 @@ NodeReport NodeRuntime::run_serve_trainer(comm::Communicator& inner) {
   // Final evaluation.
   RoundMetrics fin;
   if (s_.test_set) {
-    fin.acc_sum = algorithms::evaluate_accuracy(*algo.eval_model(ctx_), *s_.test_set);
+    fin.acc_sum = algorithms::evaluate_accuracy(*algo.eval_model(ctx_), *s_.test_set,
+                                                s_.loader->batch_size());
     fin.acc_n = 1.0f;
   }
   tensor::Bytes msg{kUpFinal};

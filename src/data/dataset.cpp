@@ -18,15 +18,20 @@ InMemoryDataset::InMemoryDataset(Tensor x, std::vector<std::size_t> y, std::size
 
 Batch InMemoryDataset::gather(const std::vector<std::size_t>& indices) const {
   Batch b;
-  b.x = Tensor({indices.size(), dim()});
-  b.y.reserve(indices.size());
-  for (std::size_t i = 0; i < indices.size(); ++i) {
+  gather_into(indices.data(), indices.size(), b);
+  return b;
+}
+
+void InMemoryDataset::gather_into(const std::size_t* indices, std::size_t n,
+                                  Batch& out) const {
+  out.x.resize_(n, dim());  // every row is copied below
+  out.y.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
     const std::size_t idx = indices[i];
     OF_CHECK_MSG(idx < size(), "gather index " << idx << " out of range");
-    std::copy_n(x_.data() + idx * dim(), dim(), b.x.data() + i * dim());
-    b.y.push_back(y_[idx]);
+    std::copy_n(x_.data() + idx * dim(), dim(), out.x.data() + i * dim());
+    out.y[i] = y_[idx];
   }
-  return b;
 }
 
 Batch InMemoryDataset::all() const {

@@ -38,6 +38,9 @@ class InMemoryDataset {
 
   // Materialize the rows at `indices` as one batch.
   Batch gather(const std::vector<std::size_t>& indices) const;
+  // The same into `out`, reusing its storage (no allocation once it has
+  // held a batch this large).
+  void gather_into(const std::size_t* indices, std::size_t n, Batch& out) const;
   // The whole dataset as a single batch (used for test evaluation).
   Batch all() const;
 

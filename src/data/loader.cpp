@@ -35,11 +35,16 @@ std::size_t DataLoader::num_batches() const noexcept {
 }
 
 Batch DataLoader::batch(std::size_t i) const {
+  Batch b;
+  batch_into(i, b);
+  return b;
+}
+
+void DataLoader::batch_into(std::size_t i, Batch& out) const {
   OF_CHECK_MSG(i < num_batches(), "batch index " << i << " out of range");
   const std::size_t begin = i * batch_size_;
   const std::size_t end = std::min(begin + batch_size_, indices_.size());
-  return dataset_->gather(
-      std::vector<std::size_t>(indices_.begin() + begin, indices_.begin() + end));
+  dataset_->gather_into(indices_.data() + begin, end - begin, out);
 }
 
 void DataLoader::reshuffle() {

@@ -25,6 +25,8 @@ class DataLoader {
 
   // Materialize batch `i` of the current epoch ordering.
   Batch batch(std::size_t i) const;
+  // The same into `out`, reusing its storage across steps.
+  void batch_into(std::size_t i, Batch& out) const;
   // Re-shuffle for the next epoch (no-op when shuffle=false).
   void reshuffle();
 

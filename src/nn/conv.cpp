@@ -38,15 +38,15 @@ float Conv2d::in_at(const Tensor& x, std::size_t b, std::size_t c, std::ptrdiff_
                   static_cast<std::size_t>(j));
 }
 
-Tensor Conv2d::forward(const Tensor& x) {
+const Tensor& Conv2d::forward(const Tensor& x) {
   OF_CHECK_MSG(x.ndim() == 2 && x.size(1) == in_.features(),
                "Conv2d: input " << x.shape_string() << " vs expected features "
                                 << in_.features());
   cached_input_ = x;
   const std::size_t batch = x.size(0);
-  Tensor y({batch, out_.features()});
+  y_.resize_(batch, out_.features());  // every plane starts as a bias fill
   const float* xd = x.data();
-  float* yd = y.data();
+  float* yd = y_.data();
   const std::size_t in_feat = in_.features();
   const std::size_t out_feat = out_.features();
   const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(padding_);
@@ -99,12 +99,13 @@ Tensor Conv2d::forward(const Tensor& x) {
   } else {
     sample_range(0, batch);
   }
-  return y;
+  return y_;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_out) {
+const Tensor& Conv2d::backward(const Tensor& grad_out) {
   const std::size_t batch = grad_out.size(0);
-  Tensor dx({batch, in_.features()});
+  dx_.resize_(batch, in_.features());
+  dx_.zero_();
   // Weight/bias grads are shared across samples, so each chunk accumulates
   // into a private partial buffer and the partials are folded in chunk
   // order afterwards. The chunking depends only on the batch size — when
@@ -140,7 +141,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
                       if (ii >= 0 && jj >= 0 &&
                           ii < static_cast<std::ptrdiff_t>(in_.height) &&
                           jj < static_cast<std::ptrdiff_t>(in_.width)) {
-                        dx(b, (ic * in_.height + static_cast<std::size_t>(ii)) * in_.width +
+                        dx_(b, (ic * in_.height + static_cast<std::size_t>(ii)) * in_.width +
                                   static_cast<std::size_t>(jj)) +=
                             g * weight_.value(oc, (ic * kernel_ + ki) * kernel_ + kj);
                       }
@@ -156,7 +157,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     for (std::size_t i = 0; i < dw[c].size(); ++i) weight_.grad.data()[i] += dw[c][i];
     for (std::size_t i = 0; i < db[c].size(); ++i) bias_.grad[i] += db[c][i];
   }
-  return dx;
+  return dx_;
 }
 
 void Conv2d::collect_parameters(std::vector<Parameter*>& out) {
@@ -173,13 +174,13 @@ MaxPool2d::MaxPool2d(ImageGeom in) : in_(in) {
   out_.width = in.width / 2;
 }
 
-Tensor MaxPool2d::forward(const Tensor& x) {
+const Tensor& MaxPool2d::forward(const Tensor& x) {
   OF_CHECK_MSG(x.ndim() == 2 && x.size(1) == in_.features(),
                "MaxPool2d: input " << x.shape_string() << " vs expected features "
                                    << in_.features());
   const std::size_t batch = x.size(0);
   cached_batch_ = batch;
-  Tensor y({batch, out_.features()});
+  y_.resize_(batch, out_.features());  // every element is written below
   argmax_.assign(batch * out_.features(), 0);
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t c = 0; c < in_.channels; ++c) {
@@ -198,21 +199,22 @@ Tensor MaxPool2d::forward(const Tensor& x) {
             }
           }
           const std::size_t out_idx = (c * out_.height + oi) * out_.width + oj;
-          y(b, out_idx) = best;
+          y_(b, out_idx) = best;
           argmax_[b * out_.features() + out_idx] = best_idx;
         }
       }
     }
   }
-  return y;
+  return y_;
 }
 
-Tensor MaxPool2d::backward(const Tensor& grad_out) {
-  Tensor dx({cached_batch_, in_.features()});
+const Tensor& MaxPool2d::backward(const Tensor& grad_out) {
+  dx_.resize_(cached_batch_, in_.features());
+  dx_.zero_();
   for (std::size_t b = 0; b < cached_batch_; ++b)
     for (std::size_t o = 0; o < out_.features(); ++o)
-      dx(b, argmax_[b * out_.features() + o]) += grad_out(b, o);
-  return dx;
+      dx_(b, argmax_[b * out_.features() + o]) += grad_out(b, o);
+  return dx_;
 }
 
 // --- LayerNorm -----------------------------------------------------------------
@@ -223,12 +225,12 @@ LayerNorm::LayerNorm(std::size_t features, float eps, std::string label)
       gamma_(label + ".gamma", Tensor::ones({features})),
       beta_(label + ".beta", Tensor::zeros({features})) {}
 
-Tensor LayerNorm::forward(const Tensor& x) {
+const Tensor& LayerNorm::forward(const Tensor& x) {
   OF_CHECK_MSG(x.ndim() == 2 && x.size(1) == features_,
                "LayerNorm: input " << x.shape_string() << " vs features " << features_);
   const std::size_t batch = x.size(0);
-  Tensor y(x.shape());
-  cached_xhat_ = Tensor(x.shape());
+  y_.resize_like_(x);  // every element of y_ and cached_xhat_ is written below
+  cached_xhat_.resize_like_(x);
   cached_inv_std_.assign(batch, 0.0f);
   for (std::size_t b = 0; b < batch; ++b) {
     double mean = 0.0;
@@ -245,15 +247,15 @@ Tensor LayerNorm::forward(const Tensor& x) {
     for (std::size_t j = 0; j < features_; ++j) {
       const float xh = (x(b, j) - static_cast<float>(mean)) * inv_std;
       cached_xhat_(b, j) = xh;
-      y(b, j) = gamma_.value[j] * xh + beta_.value[j];
+      y_(b, j) = gamma_.value[j] * xh + beta_.value[j];
     }
   }
-  return y;
+  return y_;
 }
 
-Tensor LayerNorm::backward(const Tensor& grad_out) {
+const Tensor& LayerNorm::backward(const Tensor& grad_out) {
   const std::size_t batch = grad_out.size(0);
-  Tensor dx(grad_out.shape());
+  dx_.resize_like_(grad_out);  // every element is written below
   const float n = static_cast<float>(features_);
   for (std::size_t b = 0; b < batch; ++b) {
     float sum_dy_g = 0.0f, sum_dy_g_xh = 0.0f;
@@ -266,11 +268,11 @@ Tensor LayerNorm::backward(const Tensor& grad_out) {
     }
     for (std::size_t j = 0; j < features_; ++j) {
       const float dyg = grad_out(b, j) * gamma_.value[j];
-      dx(b, j) = cached_inv_std_[b] / n *
+      dx_(b, j) = cached_inv_std_[b] / n *
                  (n * dyg - sum_dy_g - cached_xhat_(b, j) * sum_dy_g_xh);
     }
   }
-  return dx;
+  return dx_;
 }
 
 void LayerNorm::collect_parameters(std::vector<Parameter*>& out) {

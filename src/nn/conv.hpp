@@ -23,8 +23,8 @@ class Conv2d final : public Module {
   Conv2d(ImageGeom in, std::size_t out_channels, std::size_t kernel, std::size_t padding,
          Rng& rng, std::string label = "conv");
 
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
+  const Tensor& forward(const Tensor& x) override;
+  const Tensor& backward(const Tensor& grad_out) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
   std::string name() const override { return "Conv2d"; }
 
@@ -38,6 +38,8 @@ class Conv2d final : public Module {
   Parameter weight_;  // (out_c, in_c * k * k) row-major filter bank
   Parameter bias_;    // (out_c)
   Tensor cached_input_;
+  Tensor y_;
+  Tensor dx_;
 
   float in_at(const Tensor& x, std::size_t b, std::size_t c, std::ptrdiff_t i,
               std::ptrdiff_t j) const;
@@ -48,8 +50,8 @@ class MaxPool2d final : public Module {
  public:
   explicit MaxPool2d(ImageGeom in);
 
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
+  const Tensor& forward(const Tensor& x) override;
+  const Tensor& backward(const Tensor& grad_out) override;
   std::string name() const override { return "MaxPool2d"; }
 
   ImageGeom out_geom() const noexcept { return out_; }
@@ -59,6 +61,8 @@ class MaxPool2d final : public Module {
   ImageGeom out_;
   std::vector<std::size_t> argmax_;  // flat input index per output element
   std::size_t cached_batch_ = 0;
+  Tensor y_;
+  Tensor dx_;
 };
 
 // Layer normalization over the feature axis with affine gamma/beta.
@@ -66,8 +70,8 @@ class LayerNorm final : public Module {
  public:
   LayerNorm(std::size_t features, float eps = 1e-5f, std::string label = "ln");
 
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
+  const Tensor& forward(const Tensor& x) override;
+  const Tensor& backward(const Tensor& grad_out) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
   std::string name() const override { return "LayerNorm"; }
 
@@ -78,6 +82,8 @@ class LayerNorm final : public Module {
   Parameter beta_;
   Tensor cached_xhat_;
   std::vector<float> cached_inv_std_;  // per row
+  Tensor y_;
+  Tensor dx_;
 };
 
 }  // namespace of::nn

@@ -15,8 +15,8 @@ class Linear final : public Module {
  public:
   Linear(std::size_t in, std::size_t out, Rng& rng, std::string label = "linear");
 
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
+  const Tensor& forward(const Tensor& x) override;
+  const Tensor& backward(const Tensor& grad_out) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
   std::string name() const override { return "Linear"; }
 
@@ -28,38 +28,45 @@ class Linear final : public Module {
  private:
   Parameter weight_;
   Parameter bias_;
-  Tensor cached_input_;
+  Tensor input_;  // forward input, kept for dW
+  Tensor out_;    // forward output
+  Tensor dx_;     // backward output
 };
 
 class ReLU final : public Module {
  public:
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
+  const Tensor& forward(const Tensor& x) override;
+  const Tensor& backward(const Tensor& grad_out) override;
   std::string name() const override { return "ReLU"; }
 
  private:
-  Tensor cached_input_;
+  // The output doubles as the backward mask: out ≤ 0 exactly where x ≤ 0.
+  Tensor out_;
+  Tensor dx_;
 };
 
 class Tanh final : public Module {
  public:
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
+  const Tensor& forward(const Tensor& x) override;
+  const Tensor& backward(const Tensor& grad_out) override;
   std::string name() const override { return "Tanh"; }
 
  private:
-  Tensor cached_output_;
+  Tensor out_;
+  Tensor dx_;
 };
 
 // HardSwish: x * relu6(x + 3) / 6 — MobileNetV3's activation.
 class HardSwish final : public Module {
  public:
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
+  const Tensor& forward(const Tensor& x) override;
+  const Tensor& backward(const Tensor& grad_out) override;
   std::string name() const override { return "HardSwish"; }
 
  private:
-  Tensor cached_input_;
+  Tensor input_;
+  Tensor out_;
+  Tensor dx_;
 };
 
 // 1-D batch normalization over the feature dimension.
@@ -71,8 +78,8 @@ class BatchNorm1d final : public Module {
   BatchNorm1d(std::size_t features, float momentum = 0.1f, float eps = 1e-5f,
               std::string label = "bn");
 
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
+  const Tensor& forward(const Tensor& x) override;
+  const Tensor& backward(const Tensor& grad_out) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
   void collect_buffers(std::vector<Tensor*>& out) override;
   std::string name() const override { return "BatchNorm1d"; }
@@ -89,8 +96,10 @@ class BatchNorm1d final : public Module {
   Tensor running_mean_;
   Tensor running_var_;
   // Caches for backward.
-  Tensor cached_xhat_;
-  Tensor cached_inv_std_;  // per-feature 1/sqrt(var+eps)
+  Tensor xhat_;
+  Tensor inv_std_;  // per-feature 1/sqrt(var+eps)
+  Tensor out_;
+  Tensor dx_;
 };
 
 // Inverted dropout: scales by 1/(1-p) at train time so eval is identity.
@@ -100,14 +109,16 @@ class Dropout final : public Module {
  public:
   Dropout(float p, std::uint64_t seed);
 
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
+  const Tensor& forward(const Tensor& x) override;
+  const Tensor& backward(const Tensor& grad_out) override;
   std::string name() const override { return "Dropout"; }
 
  private:
   float p_;
   Rng rng_;
   Tensor mask_;
+  Tensor out_;
+  Tensor dx_;
 };
 
 // Residual MLP block: y = ReLU(x + F(x)) where
@@ -118,8 +129,8 @@ class ResidualBlock final : public Module {
  public:
   ResidualBlock(std::size_t dim, Rng& rng, std::string label = "res");
 
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
+  const Tensor& forward(const Tensor& x) override;
+  const Tensor& backward(const Tensor& grad_out) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
   void collect_buffers(std::vector<Tensor*>& out) override;
   void set_training(bool training) override;
@@ -127,7 +138,10 @@ class ResidualBlock final : public Module {
 
  private:
   Sequential body_;
-  Tensor cached_pre_relu_;
+  // ReLU(x + F(x)); doubles as the backward mask like ReLU's output.
+  Tensor out_;
+  Tensor g_;   // grad_out masked by the ReLU
+  Tensor dx_;
 };
 
 }  // namespace of::nn

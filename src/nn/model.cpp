@@ -18,24 +18,24 @@ void Model::build_caches() {
   caches_built_ = true;
 }
 
-Tensor Model::forward(const Tensor& x) {
+const Tensor& Model::forward(const Tensor& x) {
   OF_CHECK_MSG(valid(), "forward on empty Model");
   return body_->forward(x);
 }
 
-Tensor Model::backward(const Tensor& grad_out) { return body_->backward(grad_out); }
+const Tensor& Model::backward(const Tensor& grad_out) { return body_->backward(grad_out); }
 
-Tensor Model::features(const Tensor& x) {
+const Tensor& Model::features(const Tensor& x) {
   OF_CHECK_MSG(valid(), "features on empty Model");
-  Tensor h = x;
-  for (std::size_t i = 0; i < feature_boundary_; ++i) h = body_->at(i).forward(h);
-  return h;
+  const Tensor* h = &x;
+  for (std::size_t i = 0; i < feature_boundary_; ++i) h = &body_->at(i).forward(*h);
+  return *h;
 }
 
-Tensor Model::features_backward(const Tensor& grad_features) {
-  Tensor g = grad_features;
-  for (std::size_t i = feature_boundary_; i-- > 0;) g = body_->at(i).backward(g);
-  return g;
+const Tensor& Model::features_backward(const Tensor& grad_features) {
+  const Tensor* g = &grad_features;
+  for (std::size_t i = feature_boundary_; i-- > 0;) g = &body_->at(i).backward(*g);
+  return *g;
 }
 
 const std::vector<Parameter*>& Model::parameters() {

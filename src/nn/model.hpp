@@ -26,12 +26,14 @@ class Model {
   bool valid() const noexcept { return body_ != nullptr; }
 
   // --- forward/backward -------------------------------------------------
-  Tensor forward(const Tensor& x);
-  Tensor backward(const Tensor& grad_out);
+  // Results are references into the modules' reused buffers (module.hpp):
+  // valid until the next forward/backward on this model.
+  const Tensor& forward(const Tensor& x);
+  const Tensor& backward(const Tensor& grad_out);
   // Forward through the feature extractor only (modules before the head).
-  Tensor features(const Tensor& x);
+  const Tensor& features(const Tensor& x);
   // Backward through the feature extractor only; pairs with features().
-  Tensor features_backward(const Tensor& grad_features);
+  const Tensor& features_backward(const Tensor& grad_features);
 
   // --- parameters ---------------------------------------------------------
   const std::vector<Parameter*>& parameters();

@@ -4,6 +4,14 @@
 // needs during forward, and propagate gradients by hand-derived formulas.
 // Inputs/activations are 2-D tensors of shape (batch, features).
 //
+// Buffer ownership (DESIGN.md §15): forward and backward return a reference
+// to a tensor the module owns (or to their argument, for identity layers).
+// It stays valid and unchanged until that module's next forward (resp.
+// backward) call; a caller that needs the value longer copies it. Modules
+// reuse these buffers across steps, resizing them to the batch at hand and
+// writing every element before reading any, so a steady-state training
+// step allocates nothing in the layers.
+//
 // Parameters carry role tags (`is_batchnorm`, `is_head`) so that
 // parameter-filtering FL algorithms (FedBN keeps BatchNorm local, FedPer
 // keeps the classification head local) can select what crosses the wire
@@ -41,9 +49,9 @@ class Module {
   virtual ~Module() = default;
 
   // Forward pass; must cache activations needed by backward.
-  virtual Tensor forward(const Tensor& x) = 0;
+  virtual const Tensor& forward(const Tensor& x) = 0;
   // Backward pass; accumulates into parameter .grad and returns dL/dx.
-  virtual Tensor backward(const Tensor& grad_out) = 0;
+  virtual const Tensor& backward(const Tensor& grad_out) = 0;
   // Register owned parameters (in a stable, deterministic order).
   virtual void collect_parameters(std::vector<Parameter*>& out) { (void)out; }
   // Register non-trainable state tensors (BatchNorm running statistics).
@@ -75,16 +83,18 @@ class Sequential final : public Module {
   std::size_t size() const noexcept { return mods_.size(); }
   Module& at(std::size_t i) { return *mods_.at(i); }
 
-  Tensor forward(const Tensor& x) override {
-    Tensor h = x;
-    for (auto& m : mods_) h = m->forward(h);
-    return h;
+  // Each module reads its predecessor's buffer in place; the result is the
+  // last module's buffer.
+  const Tensor& forward(const Tensor& x) override {
+    const Tensor* h = &x;
+    for (auto& m : mods_) h = &m->forward(*h);
+    return *h;
   }
 
-  Tensor backward(const Tensor& grad_out) override {
-    Tensor g = grad_out;
-    for (auto it = mods_.rbegin(); it != mods_.rend(); ++it) g = (*it)->backward(g);
-    return g;
+  const Tensor& backward(const Tensor& grad_out) override {
+    const Tensor* g = &grad_out;
+    for (auto it = mods_.rbegin(); it != mods_.rend(); ++it) g = &(*it)->backward(*g);
+    return *g;
   }
 
   void collect_parameters(std::vector<Parameter*>& out) override {

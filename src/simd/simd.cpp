@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -55,6 +56,25 @@ void clamp(float* d, float lo, float hi, std::size_t n) noexcept {
 }
 void accum_weighted(float* acc, const float* s, float w, std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) acc[i] += s[i] * w;
+}
+
+// One gemm tile: rows [0, mr) × columns [0, nr) of c, from the strided
+// rows of a and k rows of b that are ldb apart and hold kTileCols readable
+// floats each (a packed panel is zero past nr). `bias` is null or
+// kTileCols floats; `accumulate` adds each sum to c's old value.
+constexpr std::size_t kTileRows = kGemmTileRows, kTileCols = 16;
+
+void gemm_tile(float* c, std::size_t ldc, const float* a, std::size_t a_row,
+               std::size_t a_col, const float* b, std::size_t ldb, const float* bias,
+               bool accumulate, std::size_t k, std::size_t mr, std::size_t nr) noexcept {
+  for (std::size_t r = 0; r < mr; ++r) {
+    for (std::size_t j = 0; j < nr; ++j) {
+      float acc = 0.0f;
+      for (std::size_t kk = 0; kk < k; ++kk) acc += a[r * a_row + kk * a_col] * b[kk * ldb + j];
+      float& out = c[r * ldc + j];
+      out = accumulate ? out + acc : bias ? acc + bias[j] : acc;
+    }
+  }
 }
 
 bool scale_store(float* dst, const float* src, double scale, std::size_t n) noexcept {
@@ -817,6 +837,80 @@ OF_AVX2 void dp_perturb_store_bytes(std::uint8_t* dst, const float* u, float cli
                              first + j, n - j);
 }
 
+// The register tile: MR rows × NV·8 columns of accumulators (at most
+// 12 ymm registers), each lane the same +0-seeded mul-then-add chain as
+// sc::gemm_tile. Partial column tiles compute the panel's zero padding and
+// store only nr lanes.
+template <int MR, int NV>
+OF_AVX2 void gemm_tile_mr(float* c, std::size_t ldc, const float* a, std::size_t a_row,
+                          std::size_t a_col, const float* b, std::size_t ldb,
+                          const float* bias, bool accumulate, std::size_t k,
+                          std::size_t nr) noexcept {
+  __m256 acc[MR][NV];
+#pragma GCC unroll 6
+  for (int r = 0; r < MR; ++r)
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) acc[r][v] = _mm256_setzero_ps();
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    __m256 bv[NV];
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) bv[v] = _mm256_loadu_ps(b + kk * ldb + 8 * v);
+#pragma GCC unroll 6
+    for (int r = 0; r < MR; ++r) {
+      const __m256 av = _mm256_broadcast_ss(a + r * a_row + kk * a_col);
+#pragma GCC unroll 2
+      for (int v = 0; v < NV; ++v) acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(av, bv[v]));
+    }
+  }
+#pragma GCC unroll 6
+  for (int r = 0; r < MR; ++r) {
+    float* row = c + r * ldc;
+    if (nr == 8 * NV) {
+#pragma GCC unroll 2
+      for (int v = 0; v < NV; ++v) {
+        __m256 o = acc[r][v];
+        if (accumulate) o = _mm256_add_ps(_mm256_loadu_ps(row + 8 * v), o);
+        else if (bias) o = _mm256_add_ps(o, _mm256_loadu_ps(bias + 8 * v));
+        _mm256_storeu_ps(row + 8 * v, o);
+      }
+    } else {
+      alignas(32) float out[8 * NV];
+#pragma GCC unroll 2
+      for (int v = 0; v < NV; ++v) {
+        __m256 o = acc[r][v];
+        if (!accumulate && bias) o = _mm256_add_ps(o, _mm256_loadu_ps(bias + 8 * v));
+        _mm256_store_ps(out + 8 * v, o);
+      }
+      for (std::size_t j = 0; j < nr; ++j) row[j] = accumulate ? row[j] + out[j] : out[j];
+    }
+  }
+}
+
+template <int NV>
+OF_AVX2 void gemm_tile_nv(float* c, std::size_t ldc, const float* a, std::size_t a_row,
+                          std::size_t a_col, const float* b, std::size_t ldb,
+                          const float* bias, bool accumulate, std::size_t k, std::size_t mr,
+                          std::size_t nr) noexcept {
+#define OF_GEMM_TILE(MR) \
+  gemm_tile_mr<MR, NV>(c, ldc, a, a_row, a_col, b, ldb, bias, accumulate, k, nr)
+  switch (mr) {
+    case 6: return OF_GEMM_TILE(6);
+    case 5: return OF_GEMM_TILE(5);
+    case 4: return OF_GEMM_TILE(4);
+    case 3: return OF_GEMM_TILE(3);
+    case 2: return OF_GEMM_TILE(2);
+    default: return OF_GEMM_TILE(1);
+  }
+#undef OF_GEMM_TILE
+}
+
+OF_AVX2 void gemm_tile(float* c, std::size_t ldc, const float* a, std::size_t a_row,
+                       std::size_t a_col, const float* b, std::size_t ldb, const float* bias,
+                       bool accumulate, std::size_t k, std::size_t mr, std::size_t nr) noexcept {
+  if (nr > 8) gemm_tile_nv<2>(c, ldc, a, a_row, a_col, b, ldb, bias, accumulate, k, mr, nr);
+  else gemm_tile_nv<1>(c, ldc, a, a_row, a_col, b, ldb, bias, accumulate, k, mr, nr);
+}
+
 }  // namespace v2
 
 #endif  // OF_SIMD_X86
@@ -856,6 +950,9 @@ struct Table {
                               std::size_t) noexcept;
   void (*dp_perturb_store_bytes)(std::uint8_t*, const float*, float, double,
                                  const NoiseStream&, std::uint64_t, std::size_t) noexcept;
+  void (*gemm_tile)(float*, std::size_t, const float*, std::size_t, std::size_t,
+                    const float*, std::size_t, const float*, bool, std::size_t, std::size_t,
+                    std::size_t) noexcept;
 };
 
 constexpr Table kScalarTable = {
@@ -874,6 +971,7 @@ constexpr Table kScalarTable = {
     sc::qsgd_dequantize_i8,
     sc::qsgd_dequantize_i16,
     sc::dp_perturb_store_bytes,
+    sc::gemm_tile,
 };
 
 #ifdef OF_SIMD_X86
@@ -893,6 +991,7 @@ constexpr Table kAvx2Table = {
     v2::qsgd_dequantize_i8,
     v2::qsgd_dequantize_i16,
     v2::dp_perturb_store_bytes,
+    v2::gemm_tile,
 };
 
 bool cpu_has_avx2() noexcept {
@@ -1017,6 +1116,44 @@ void dp_perturb_store_bytes(std::uint8_t* dst, const float* u, float clip_scale,
                             std::size_t n) noexcept {
   table().dp_perturb_store_bytes(dst, u, clip_scale, sigma, stream, first, n);
 }
+void gemm(float* c, std::size_t ldc, MatRef a, MatRef b, const float* bias, std::size_t m,
+          std::size_t n, std::size_t k, bool accumulate) {
+  using sc::kTileCols;
+  using sc::kTileRows;
+  const Table& t = table();
+  // A full-width strip of a row-major b is read in place. Any other strip
+  // (b read transposed, or the last columns of a ragged n) is packed
+  // k-major into a panel zero-padded to kTileCols, so the tile always reads
+  // whole vectors. The panel is reused across calls, and each strip writes
+  // all of [0, k · kTileCols) before the tiles read it.
+  thread_local std::vector<float> panel;
+  alignas(32) float bias_pad[kTileCols];
+  for (std::size_t j0 = 0; j0 < n; j0 += kTileCols) {
+    const std::size_t nr = std::min(kTileCols, n - j0);
+    const float* strip = b.p + j0 * b.col;
+    std::size_t ldb = b.row;
+    if (b.col != 1 || nr < kTileCols) {
+      if (panel.size() < k * kTileCols) panel.resize(k * kTileCols);
+      float* pp = panel.data();
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        float* dst = pp + kk * kTileCols;
+        for (std::size_t j = 0; j < nr; ++j) dst[j] = strip[kk * b.row + j * b.col];
+        std::fill(dst + nr, dst + kTileCols, 0.0f);
+      }
+      strip = pp;
+      ldb = kTileCols;
+    }
+    if (bias) {
+      std::copy_n(bias + j0, nr, bias_pad);
+      std::fill(bias_pad + nr, bias_pad + kTileCols, 0.0f);
+    }
+    for (std::size_t i0 = 0; i0 < m; i0 += kTileRows) {
+      t.gemm_tile(c + i0 * ldc + j0, ldc, a.p + i0 * a.row, a.row, a.col, strip, ldb,
+                  bias ? bias_pad : nullptr, accumulate, k, std::min(kTileRows, m - i0), nr);
+    }
+  }
+}
+
 double unit_log(double u) noexcept { return sc::unit_log(u); }
 void sincos_turns(double t, double& sin_out, double& cos_out) noexcept {
   sc::sincos_turns(t, sin_out, cos_out);

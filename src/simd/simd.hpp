@@ -1,9 +1,9 @@
 // of::simd — runtime-dispatched portable SIMD kernels (DESIGN.md §15).
 //
 // Every hot inner loop of the update pipeline (tensor elementwise ops, the
-// matmul/conv axpy, scale-while-flatten stores, frame-body accumulation,
-// QSGD quantize/dequantize, DP clip-and-perturb) funnels through this
-// facade. At configure() time the facade binds either the AVX2 kernel table
+// matmul tiles, the conv axpy, scale-while-flatten stores, frame-body
+// accumulation, QSGD quantize/dequantize, DP clip-and-perturb) funnels
+// through this facade. At configure() time the facade binds either the AVX2 kernel table
 // (when the CPU supports avx2+f16c and the mode allows it) or the scalar
 // table; call sites never branch on the ISA themselves.
 //
@@ -59,6 +59,35 @@ void clamp(float* d, float lo, float hi, std::size_t n) noexcept;
 
 // acc[i] += s[i] * w (mul then add — never contracted; w == 1 adds s).
 void accum_weighted(float* acc, const float* s, float w, std::size_t n) noexcept;
+
+// --- matrix multiply (register-blocked tiles) ------------------------------
+// Rows per tile: a caller that splits the rows keeps every chunk but the
+// last a multiple of this, so no chunk runs short tiles it need not.
+inline constexpr std::size_t kGemmTileRows = 6;
+
+// A read-only matrix operand with arbitrary strides: element (r, c) is
+// p[r * row + c * col]. (row, col) = (cols, 1) is a row-major matrix and
+// (1, rows) reads the transpose of one in place.
+struct MatRef {
+  const float* p;
+  std::size_t row;
+  std::size_t col;
+};
+
+// c[i * ldc + j] = Σ_kk a(i, kk) · b(kk, j), plus bias[j] when bias is not
+// null, for i < m, j < n, kk < k. Every output is one chain: it starts at
+// +0, adds the products in kk order, rounds each product before its add
+// (never an FMA), and adds the bias to the finished sum. So the bytes do not
+// depend on the table, the 6×16 tile, or how a caller splits the rows. A
+// zero a(i, kk) is not skipped: it adds 0 · b(kk, j), which is NaN where
+// b(kk, j) is Inf or NaN. Every element of c is written and none is read,
+// unless `accumulate` is set: then c[i * ldc + j] becomes c + (Σ), the sum
+// formed first, exactly `c += product` of a separately computed product
+// (bias must be null).
+// A 16-column strip of b that is not row-major and full width is first
+// packed into a reused per-thread panel of k × 16 floats.
+void gemm(float* c, std::size_t ldc, MatRef a, MatRef b, const float* bias, std::size_t m,
+          std::size_t n, std::size_t k, bool accumulate = false);
 
 // --- scale-while-flatten stores (double-precision scale) -------------------
 // dst[i] = float(double(src[i]) * scale). Returns true iff every *input*

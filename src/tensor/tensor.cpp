@@ -25,6 +25,11 @@ inline bool parallel_worthwhile(std::size_t n) {
 // thread count*, so threads=1 and threads=N accumulate in the same order.
 constexpr std::size_t kReduceChunk = 1 << 15;
 
+// A matmul is split over the pool's threads from this many multiply-adds,
+// in chunks of at least this many: tens of microseconds of tile work each,
+// well above the cost of a pool round-trip.
+constexpr std::size_t kMatmulParallelMacs = 1 << 18;
+
 }  // namespace
 
 std::size_t shape_numel(const Shape& shape) {
@@ -79,6 +84,23 @@ Tensor Tensor::reshape(Shape new_shape) const {
   t.shape_ = std::move(new_shape);
   t.data_ = data_;
   return t;
+}
+
+Tensor& Tensor::resize_(std::size_t rows, std::size_t cols) {
+  if (shape_.size() == 2) {
+    shape_[0] = rows;
+    shape_[1] = cols;
+  } else {
+    shape_.assign({rows, cols});
+  }
+  data_.resize(rows * cols);
+  return *this;
+}
+
+Tensor& Tensor::resize_like_(const Tensor& other) {
+  shape_ = other.shape_;
+  data_.resize(other.data_.size());
+  return *this;
 }
 
 float& Tensor::at(std::size_t i) {
@@ -300,57 +322,77 @@ std::vector<std::size_t> Tensor::argmax_rows() const {
   return out;
 }
 
-Tensor Tensor::matmul(const Tensor& rhs) const {
-  OF_CHECK_MSG(ndim() == 2 && rhs.ndim() == 2,
-               "matmul requires 2-D tensors, got " << shape_string() << " x "
-                                                   << rhs.shape_string());
-  const std::size_t m = shape_[0], k = shape_[1];
-  OF_CHECK_MSG(rhs.shape_[0] == k, "matmul inner-dim mismatch " << shape_string() << " x "
-                                                                << rhs.shape_string());
-  const std::size_t n = rhs.shape_[1];
-  Tensor out({m, n});
-  // ikj loop order: streams rhs rows, keeps out row hot — the standard
-  // cache-friendly ordering for row-major GEMM without blocking.
-  const float* a = data_.data();
-  const float* b = rhs.data_.data();
-  float* c = out.data_.data();
+namespace {
+
+// matmul_into and matmul_acc: out = op(a)·op(b) [+ bias], or out += it.
+void gemm_2d(Tensor& out, const Tensor& a, const Tensor& b, Transpose t, const Tensor* bias,
+             bool accumulate) {
+  OF_CHECK_MSG(a.ndim() == 2 && b.ndim() == 2,
+               "matmul requires 2-D tensors, got " << a.shape_string() << " x "
+                                                   << b.shape_string());
+  OF_CHECK_MSG(&out != &a && &out != &b, "matmul_into: out aliases an operand");
+  const std::size_t a0 = a.size(0), a1 = a.size(1), b0 = b.size(0), b1 = b.size(1);
+  const bool ta = t == Transpose::Lhs, tb = t == Transpose::Rhs;
+  const std::size_t m = ta ? a1 : a0, k = ta ? a0 : a1;
+  const std::size_t n = tb ? b0 : b1;
+  OF_CHECK_MSG((tb ? b1 : b0) == k, "matmul inner-dim mismatch " << a.shape_string() << " x "
+                                                                 << b.shape_string());
+  OF_CHECK_MSG(bias == nullptr || bias->numel() == n,
+               "matmul bias has " << bias->numel() << " values for " << n << " columns");
+  if (accumulate) {
+    OF_CHECK_MSG(out.ndim() == 2 && out.size(0) == m && out.size(1) == n,
+                 "matmul_acc into " << out.shape_string() << ", product is [" << m << ", "
+                                    << n << "]");
+  } else {
+    out.resize_(m, n);
+  }
+  // Element (r, c) of op(x) sits at x[r * row + c * col].
+  const simd::MatRef ar{a.data(), ta ? 1 : a1, ta ? a1 : 1};
+  const simd::MatRef br{b.data(), tb ? 1 : b1, tb ? b1 : 1};
+  const float* bp = bias ? bias->data() : nullptr;
+  float* c = out.data();
   const auto rows = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const float aik = a[i * k + kk];
-        if (aik == 0.0f) continue;
-        simd::axpy(c + i * n, b + kk * n, aik, n);
-      }
-    }
+    simd::gemm(c + lo * n, n, {ar.p + lo * ar.row, ar.row, ar.col}, br, bp, hi - lo, n, k,
+               accumulate);
   };
-  // Output rows are disjoint, so per-row parallelism writes the same bytes
-  // as the serial loop for any thread count.
-  if (m > 1 && exec::Pool::global().threads() > 1 && m * n * k >= kParallelCutoff) {
-    const std::size_t per_row = std::max<std::size_t>(1, n * k);
-    const std::size_t grain = std::max<std::size_t>(1, kParallelCutoff / per_row);
-    exec::Pool::global().parallel_for(m, grain, rows);
+  // Every output element is its own chain, so any partition of the rows
+  // writes the same bytes as the serial call for any thread count.
+  if (m > simd::kGemmTileRows && exec::Pool::global().threads() > 1 &&
+      m * n * k >= kMatmulParallelMacs) {
+    const std::size_t tile_macs = simd::kGemmTileRows * n * k;
+    const std::size_t tiles = std::max<std::size_t>(1, kMatmulParallelMacs / tile_macs);
+    exec::Pool::global().parallel_for(m, tiles * simd::kGemmTileRows, rows);
   } else {
     rows(0, m);
   }
+}
+
+}  // namespace
+
+void matmul_into(Tensor& out, const Tensor& a, const Tensor& b, Transpose t,
+                 const Tensor* bias) {
+  gemm_2d(out, a, b, t, bias, false);
+}
+
+void matmul_acc(Tensor& acc, const Tensor& a, const Tensor& b, Transpose t) {
+  gemm_2d(acc, a, b, t, nullptr, true);
+}
+
+Tensor Tensor::matmul(const Tensor& rhs) const {
+  Tensor out;
+  matmul_into(out, *this, rhs);
   return out;
 }
 
-Tensor Tensor::transpose2d() const {
-  OF_CHECK_MSG(ndim() == 2, "transpose2d requires a 2-D tensor, got " << shape_string());
-  const std::size_t r = shape_[0], c = shape_[1];
-  Tensor out({c, r});
-  const float* src = data_.data();
-  float* dst = out.data_.data();
-  const auto rows = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i)
-      for (std::size_t j = 0; j < c; ++j) dst[j * r + i] = src[i * c + j];
-  };
-  if (r > 1 && parallel_worthwhile(r * c)) {
-    const std::size_t grain = std::max<std::size_t>(1, kParallelCutoff / std::max<std::size_t>(1, c));
-    exec::Pool::global().parallel_for(r, grain, rows);
-  } else {
-    rows(0, r);
-  }
+Tensor Tensor::matmul_tn(const Tensor& rhs) const {
+  Tensor out;
+  matmul_into(out, *this, rhs, Transpose::Lhs);
+  return out;
+}
+
+Tensor Tensor::matmul_nt(const Tensor& rhs) const {
+  Tensor out;
+  matmul_into(out, *this, rhs, Transpose::Rhs);
   return out;
 }
 

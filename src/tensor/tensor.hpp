@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,12 @@ class Tensor {
   bool empty() const noexcept { return data_.empty(); }
   bool same_shape(const Tensor& other) const noexcept { return shape_ == other.shape_; }
   Tensor reshape(Shape new_shape) const;
+  // Reshape in place to (rows, cols), reusing the storage: no allocation
+  // once the capacity suffices. Element values afterwards are unspecified,
+  // so the caller must write every element before reading one.
+  Tensor& resize_(std::size_t rows, std::size_t cols);
+  // Same, to other's shape.
+  Tensor& resize_like_(const Tensor& other);
   Tensor flatten() const { return reshape({numel()}); }
 
   // --- element access ------------------------------------------------------
@@ -103,7 +110,10 @@ class Tensor {
   // --- linear algebra ------------------------------------------------------
   // (m,k) x (k,n) -> (m,n)
   Tensor matmul(const Tensor& rhs) const;
-  Tensor transpose2d() const;
+  // thisᵀ · rhs: (k,m)ᵀ x (k,n) -> (m,n), reading this in place.
+  Tensor matmul_tn(const Tensor& rhs) const;
+  // this · rhsᵀ: (m,k) x (n,k)ᵀ -> (m,n), reading rhs in place.
+  Tensor matmul_nt(const Tensor& rhs) const;
 
   // --- misc ----------------------------------------------------------------
   // Copy a row of a 2-D tensor into a 1-D tensor.
@@ -119,6 +129,20 @@ class Tensor {
 };
 
 Tensor operator*(float s, const Tensor& t);
+
+// Which operand of a product is read transposed (in place, never copied).
+enum class Transpose : std::uint8_t { None, Lhs, Rhs };
+
+// out = op(a) · op(b), plus bias (one value per column) when given. Resizes
+// out to (m, n) reusing its storage, and writes every element, so nn layers
+// call it on their reused buffers. Each element is the simd::gemm chain:
+// the bytes do not depend on the SIMD table or the thread count.
+void matmul_into(Tensor& out, const Tensor& a, const Tensor& b,
+                 Transpose t = Transpose::None, const Tensor* bias = nullptr);
+// acc += op(a) · op(b), acc already (m, n): each element becomes
+// acc + (Σ), the sum formed first. The same bytes as adding a separately
+// computed product, without the temporary.
+void matmul_acc(Tensor& acc, const Tensor& a, const Tensor& b, Transpose t = Transpose::None);
 
 // Total number of elements implied by a shape.
 std::size_t shape_numel(const Shape& shape);

@@ -11,6 +11,7 @@
 #include "compression/quantize.hpp"
 #include "compression/sparsify.hpp"
 #include "config/yaml.hpp"
+#include "simd/simd.hpp"
 
 namespace {
 
@@ -310,6 +311,35 @@ TEST(PowerSGD, HigherRankIsMoreAccurate) {
     return (out - t).l2_norm() / t.l2_norm();
   };
   EXPECT_LT(rel_err(32), rel_err(4));
+}
+
+// Pins PowerSGD's exact bytes: the payload and the reconstruction over
+// three warm-started rounds, on a length that leaves the matrix view
+// zero-padded, under both SIMD tables.
+TEST(PowerSGD, PayloadAndReconstructionGolden) {
+  const auto run = [] {
+    Rng rng(17);
+    const Tensor t = Tensor::randn({1000}, rng);
+    of::compression::PowerSGD codec(4, 18);
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    const auto mix = [&h](const void* data, std::size_t n) {
+      const auto* p = static_cast<const unsigned char*>(data);
+      for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * 0x100000001B3ULL;
+    };
+    for (int round = 0; round < 3; ++round) {
+      const Compressed c = codec.compress(t);
+      const Tensor out = codec.decompress(c);
+      mix(c.payload.data(), c.payload.size());
+      mix(out.data(), out.numel() * sizeof(float));
+    }
+    return h;
+  };
+  of::simd::configure(of::simd::Mode::Off);
+  const std::uint64_t scalar = run();
+  of::simd::configure(of::simd::Mode::Auto);
+  EXPECT_EQ(run(), scalar);
+  EXPECT_EQ(scalar, 0x15DDCA4CB99C3D51ULL)
+      << "PowerSGD bytes drifted, got 0x" << std::hex << scalar;
 }
 
 TEST(ErrorFeedback, ResidualIsWhatTheCodecDropped) {

@@ -109,8 +109,11 @@ TEST(Engine, HierarchicalCombinerDeadlineShortensRounds) {
   cfg.set_path("eval_every", ConfigNode::integer(0));
   cfg.set_path("topology.combiner.deadline_seconds", ConfigNode::floating(0.2));
   cfg.set_path("topology.combiner.min_clients", ConfigNode::integer(1));
+  // A slowdown multiplies the measured train time, which is tens of
+  // microseconds per round here, so the factor must be large to last
+  // past 0.5 s.
   ConfigNode slow = ConfigNode::list();
-  for (double f : {1.0, 1.0, 1.0, 8000.0}) slow.push_back(ConfigNode::floating(f));
+  for (double f : {1.0, 1.0, 1.0, 20000.0}) slow.push_back(ConfigNode::floating(f));
   cfg.set_path("heterogeneity.slowdowns", slow);
   Engine engine(cfg);
   const RunResult r = engine.run();

@@ -119,25 +119,30 @@ TEST(ExecPool, TensorKernelsBitwiseIdenticalAcrossThreadCounts) {
   Rng rng(42);
   const Tensor a = Tensor::randn({64, 512}, rng);
   const Tensor b = Tensor::randn({512, 96}, rng);
+  const Tensor c = Tensor::randn({64, 96}, rng);
+  const Tensor d = Tensor::randn({96, 512}, rng);
   const Tensor big = Tensor::randn({1 << 16}, rng);
 
   Pool::global().configure(1);
   const Tensor mm1 = a.matmul(b);
-  const Tensor t1 = a.transpose2d();
+  const Tensor tn1 = a.matmul_tn(c);
+  const Tensor nt1 = a.matmul_nt(d);
   const float s1 = big.sum();
   const float n1 = big.l2_norm_squared();
   const float d1 = big.dot(big);
 
   Pool::global().configure(4);
   const Tensor mm4 = a.matmul(b);
-  const Tensor t4 = a.transpose2d();
+  const Tensor tn4 = a.matmul_tn(c);
+  const Tensor nt4 = a.matmul_nt(d);
   const float s4 = big.sum();
   const float n4 = big.l2_norm_squared();
   const float d4 = big.dot(big);
 
   ASSERT_EQ(mm1.numel(), mm4.numel());
   EXPECT_EQ(std::memcmp(mm1.data(), mm4.data(), mm1.numel() * sizeof(float)), 0);
-  EXPECT_EQ(std::memcmp(t1.data(), t4.data(), t1.numel() * sizeof(float)), 0);
+  EXPECT_EQ(std::memcmp(tn1.data(), tn4.data(), tn1.numel() * sizeof(float)), 0);
+  EXPECT_EQ(std::memcmp(nt1.data(), nt4.data(), nt1.numel() * sizeof(float)), 0);
   EXPECT_EQ(std::memcmp(&s1, &s4, sizeof(float)), 0);
   EXPECT_EQ(std::memcmp(&n1, &n4, sizeof(float)), 0);
   EXPECT_EQ(std::memcmp(&d1, &d4, sizeof(float)), 0);

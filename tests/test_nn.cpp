@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <new>
 
 #include "nn/checkpoint.hpp"
 #include "nn/conv.hpp"
@@ -9,6 +13,20 @@
 #include "nn/model.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/zoo.hpp"
+
+// Counts every plain operator new, so a test can assert that a steady-state
+// training step allocates nothing. Array and nothrow forms route through
+// this pair in libstdc++, and GCC cannot see that the malloc/free pair
+// matches.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+std::atomic<std::size_t> g_allocs{0};
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -606,6 +624,81 @@ TEST(Checkpoint, FileRoundtrip) {
   of::nn::load_checkpoint_file(b, path);
   EXPECT_TRUE(b.flat_parameters().allclose(a.flat_parameters(), 0.0f, 0.0f));
   EXPECT_THROW(of::nn::load_checkpoint_file(b, path + ".missing"), std::runtime_error);
+}
+
+// What one training step makes visible: the logits, the input gradient and
+// every parameter gradient.
+struct StepBytes {
+  Tensor logits, dx, grads;
+};
+
+StepBytes train_step(Model& m, const Tensor& x, const std::vector<std::size_t>& y) {
+  m.zero_grad();
+  StepBytes s;
+  s.logits = m.forward(x);
+  const auto lg = of::nn::softmax_cross_entropy(s.logits, y);
+  s.dx = m.backward(lg.grad);
+  s.grads = m.flat_gradients();
+  return s;
+}
+
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+TEST(Buffers, ReusedBuffersMatchFreshOnesAcrossBatchSizes) {
+  // Layers keep their activation and gradient buffers across steps and
+  // resize them to each batch. A model whose buffers last held another
+  // batch size must give the same bytes as a clone with fresh buffers (and
+  // the same parameters and BatchNorm statistics), shrinking and growing.
+  struct Spec {
+    const char* name;
+    std::size_t classes;
+  };
+  for (const Spec spec : {Spec{"resnet18_mini", 10}, Spec{"vgg11_mini", 100},
+                          Spec{"mobilenetv3_mini", 10}, Spec{"cnn_mini", 10}}) {
+    Model reused = of::nn::zoo::make_model(spec.name, 64, spec.classes, 3);
+    Rng rng(21);
+    for (std::size_t batch : {32u, 1u, 32u, 5u}) {
+      const Tensor x = Tensor::randn({batch, 64}, rng);
+      std::vector<std::size_t> y(batch);
+      for (std::size_t i = 0; i < batch; ++i) y[i] = (i * 7) % spec.classes;
+      Model fresh = reused.clone();
+      const StepBytes want = train_step(fresh, x, y);
+      const StepBytes got = train_step(reused, x, y);
+      EXPECT_TRUE(same_bytes(got.logits, want.logits)) << spec.name << " batch " << batch;
+      EXPECT_TRUE(same_bytes(got.dx, want.dx)) << spec.name << " batch " << batch;
+      EXPECT_TRUE(same_bytes(got.grads, want.grads)) << spec.name << " batch " << batch;
+    }
+  }
+}
+
+TEST(Buffers, SteadyStateStepAllocatesNothing) {
+  // Once every buffer has held the largest batch, forward, loss, backward
+  // and the optimizer step allocate nothing, whatever the batch size.
+  for (const char* name : {"resnet18_mini", "vgg11_mini"}) {
+    Model m = of::nn::zoo::make_model(name, 64, 10, 4);
+    of::nn::SGD opt(m.parameters(), 0.01f, 0.9f, 1e-4f);
+    Rng rng(22);
+    const Tensor x32 = Tensor::randn({32, 64}, rng);
+    const Tensor x1 = Tensor::randn({1, 64}, rng);
+    const std::vector<std::size_t> y32(32, 3), y1(1, 2);
+    Tensor grad;
+    const auto step = [&](const Tensor& x, const std::vector<std::size_t>& y) {
+      m.zero_grad();
+      (void)of::nn::softmax_cross_entropy_into(m.forward(x), y, grad);
+      m.backward(grad);
+      opt.step();
+    };
+    step(x32, y32);
+    step(x1, y1);
+    const std::size_t before = g_allocs.load();
+    step(x32, y32);
+    step(x1, y1);
+    step(x32, y32);
+    EXPECT_EQ(g_allocs.load() - before, 0u) << name;
+  }
 }
 
 TEST(Zoo, TrainingReducesLoss) {

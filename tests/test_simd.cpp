@@ -323,6 +323,168 @@ TEST(SimdNoise, PolynomialsMatchLibm) {
   EXPECT_LT(worst_trig, 1e-12);
 }
 
+// --- gemm tiles --------------------------------------------------------------
+
+enum class Op { NN, TN, NT };
+// What the tile does with each finished sum: store it, add the bias to it,
+// or add it to c's old value.
+enum class Epilogue { Store, Bias, Accumulate };
+
+// One product's operands, each at an odd float offset inside its buffer so
+// that no row starts on a vector boundary.
+struct GemmCase {
+  std::size_t m, n, k;
+  Op op;
+  std::vector<float> a, b, bias;
+  static constexpr std::size_t kOffset = 3;
+
+  // op(a) is m × k and op(b) is k × n; a transposed operand is stored as the
+  // row-major transpose and read through the strides.
+  of::simd::MatRef lhs() const {
+    return op == Op::TN ? of::simd::MatRef{a.data() + kOffset, 1, m}
+                        : of::simd::MatRef{a.data() + kOffset, k, 1};
+  }
+  of::simd::MatRef rhs() const {
+    return op == Op::NT ? of::simd::MatRef{b.data() + kOffset, 1, k}
+                        : of::simd::MatRef{b.data() + kOffset, n, 1};
+  }
+  float at(const of::simd::MatRef& r, std::size_t i, std::size_t j) const {
+    return r.p[i * r.row + j * r.col];
+  }
+};
+
+GemmCase make_case(std::size_t m, std::size_t n, std::size_t k, Op op, std::uint64_t seed) {
+  GemmCase g{m, n, k, op, {}, {}, {}};
+  g.a = random_floats(GemmCase::kOffset + m * k, seed);
+  g.b = random_floats(GemmCase::kOffset + k * n, seed + 1);
+  g.bias = random_floats(GemmCase::kOffset + n, seed + 2);
+  return g;
+}
+
+// The old value of output element (i, j) in the Accumulate epilogue.
+float old_value(std::size_t i, std::size_t j) {
+  return static_cast<float>((i * 31 + j * 17) % 23) * 0.25f - 2.5f;
+}
+
+// The contract written as the plainest loop: each element starts at +0,
+// adds a·b in kk order (the product rounded first; baseline x86-64 has no
+// FMA to contract into), then adds the bias or is added to the old value.
+std::vector<float> reference_gemm(const GemmCase& g, Epilogue e) {
+  const auto a = g.lhs(), b = g.rhs();
+  std::vector<float> c(g.m * g.n);
+  for (std::size_t i = 0; i < g.m; ++i)
+    for (std::size_t j = 0; j < g.n; ++j) {
+      float acc = 0.0f;
+      for (std::size_t kk = 0; kk < g.k; ++kk) {
+        const float p = g.at(a, i, kk) * g.at(b, kk, j);
+        acc = acc + p;
+      }
+      if (e == Epilogue::Bias) acc = acc + g.bias[GemmCase::kOffset + j];
+      if (e == Epilogue::Accumulate) acc = old_value(i, j) + acc;
+      c[i * g.n + j] = acc;
+    }
+  return c;
+}
+
+// Runs the bound table into an output of odd leading dimension n + 5, with
+// sentinel bytes around every row, and returns the m × n result.
+std::vector<float> table_gemm(const GemmCase& g, Epilogue e) {
+  const std::size_t ldc = g.n + 5;
+  std::vector<float> c(GemmCase::kOffset + g.m * ldc + 8, -7.0f);
+  if (e == Epilogue::Accumulate)
+    for (std::size_t i = 0; i < g.m; ++i)
+      for (std::size_t j = 0; j < g.n; ++j) c[GemmCase::kOffset + i * ldc + j] = old_value(i, j);
+  of::simd::gemm(c.data() + GemmCase::kOffset, ldc, g.lhs(), g.rhs(),
+                 e == Epilogue::Bias ? g.bias.data() + GemmCase::kOffset : nullptr, g.m, g.n,
+                 g.k, e == Epilogue::Accumulate);
+  std::vector<float> out(g.m * g.n);
+  for (std::size_t i = 0; i < g.m; ++i) {
+    std::copy_n(c.data() + GemmCase::kOffset + i * ldc, g.n, out.data() + i * g.n);
+    for (std::size_t j = g.n; j < ldc; ++j)
+      EXPECT_EQ(c[GemmCase::kOffset + i * ldc + j], -7.0f) << "wrote past column " << g.n;
+  }
+  return out;
+}
+
+// Equal bytes, except that any NaN matches any NaN: the NaN payload an
+// operation returns depends on operand order, which C++ does not pin.
+bool same_values(const std::vector<float>& x, const std::vector<float>& y) {
+  if (x.size() != y.size()) return false;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (std::isnan(x[i]) && std::isnan(y[i])) continue;
+    if (std::memcmp(&x[i], &y[i], sizeof(float)) != 0) return false;
+  }
+  return true;
+}
+
+TEST(SimdGemm, TablesMatchReferenceAtEveryTileEdge) {
+  // m crosses the 6-row tile, n the 8- and 16-wide column tiles (and the
+  // models' 10-, 80-, 100- and 256-wide layers), k the batch and layer widths.
+  const std::size_t ms[] = {1, 2, 3, 4, 5, 6, 7, 31, 32, 33};
+  const std::size_t ns[] = {1, 4, 8, 10, 15, 16, 17, 80, 100, 256};
+  const std::size_t ks[] = {1, 32, 80, 256};
+  std::uint64_t seed = 100;
+  for (Op op : {Op::NN, Op::TN, Op::NT})
+    for (std::size_t m : ms)
+      for (std::size_t n : ns)
+        for (std::size_t k : ks) {
+          const GemmCase g = make_case(m, n, k, op, seed += 3);
+          const auto e = static_cast<Epilogue>((m + n + k) % 3);
+          const auto ref = reference_gemm(g, e);
+          of::simd::configure(Mode::Off);
+          const auto scalar = table_gemm(g, e);
+          of::simd::configure(Mode::Auto);
+          const auto vec = table_gemm(g, e);
+          ASSERT_TRUE(bitwise_equal(scalar, ref))
+              << "scalar m=" << m << " n=" << n << " k=" << k << " op=" << int(op)
+              << " epilogue=" << int(e);
+          ASSERT_TRUE(bitwise_equal(vec, ref))
+              << of::simd::active_level() << " m=" << m << " n=" << n << " k=" << k
+              << " op=" << int(op) << " epilogue=" << int(e);
+        }
+}
+
+TEST(SimdGemm, ZeroTimesInfIsNotSkipped) {
+  // A zero in a still multiplies its row of b: 0·Inf and 0·NaN are NaN, so
+  // every output column where b holds Inf or NaN is NaN. Other columns keep
+  // their finite sums, on both tables, for every op.
+  const std::size_t m = 7, n = 20, k = 9;
+  for (Op op : {Op::NN, Op::TN, Op::NT}) {
+    GemmCase g = make_case(m, n, k, op, 900);
+    const auto a = g.lhs(), b = g.rhs();
+    const auto set = [](const of::simd::MatRef& r, std::size_t i, std::size_t j, float v) {
+      const_cast<float*>(r.p)[i * r.row + j * r.col] = v;
+    };
+    for (std::size_t i = 0; i < m; ++i) set(a, i, 4, 0.0f);  // column kk = 4 of a is zero
+    set(b, 4, 3, kInf);
+    set(b, 4, 11, -kInf);
+    set(b, 4, 17, kNan);
+    const auto ref = reference_gemm(g, Epilogue::Bias);
+    for (std::size_t i = 0; i < m; ++i)
+      for (std::size_t j = 0; j < n; ++j)
+        ASSERT_EQ(std::isnan(ref[i * n + j]), j == 3 || j == 11 || j == 17) << i << "," << j;
+    for (Mode mode : {Mode::Off, Mode::Auto}) {
+      of::simd::configure(mode);
+      EXPECT_TRUE(same_values(table_gemm(g, Epilogue::Bias), ref)) << of::simd::active_level();
+    }
+  }
+  of::simd::configure(Mode::Auto);
+}
+
+TEST(SimdGemm, EmptyShapesWriteNothing) {
+  std::vector<float> c(4, 5.0f);
+  const float ones[2] = {1.0f, 1.0f};  // a is 2 × 1 and b is 1 × 2, row-major
+  of::simd::gemm(c.data(), 2, {ones, 1, 1}, {ones, 2, 1}, nullptr, 0, 2, 1);
+  of::simd::gemm(c.data(), 2, {ones, 1, 1}, {ones, 2, 1}, nullptr, 2, 0, 1);
+  EXPECT_EQ(c, std::vector<float>(4, 5.0f));
+  // k = 0 is an empty sum: +0, plus the bias when given.
+  const float bias[2] = {1.5f, -0.0f};
+  of::simd::gemm(c.data(), 2, {ones, 0, 1}, {ones, 2, 1}, bias, 2, 2, 0);
+  EXPECT_EQ(c[0], 1.5f);
+  EXPECT_EQ(c[2], 1.5f);
+  EXPECT_FALSE(std::signbit(c[1])) << "+0 + -0 is +0";
+}
+
 TEST(SimdConfig, ModeKnobBindsTables) {
   of::simd::configure(Mode::Off);
   EXPECT_EQ(of::simd::mode(), Mode::Off);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "tensor/serialize.hpp"
 #include "tensor/tensor.hpp"
@@ -143,12 +144,35 @@ TEST(Tensor, MatmulDimensionMismatchThrows) {
   EXPECT_THROW(a.matmul(b), std::runtime_error);
 }
 
-TEST(Tensor, TransposeInvolution) {
+// Explicit copy transpose, for checking the in-place transposed products.
+Tensor transposed(const Tensor& t) {
+  Tensor out({t.size(1), t.size(0)});
+  for (std::size_t i = 0; i < t.size(0); ++i)
+    for (std::size_t j = 0; j < t.size(1); ++j) out(j, i) = t(i, j);
+  return out;
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+TEST(Tensor, MatmulTnNtReadTheTransposeInPlace) {
+  // Same k-ordered chain per element as a product on a copied transpose,
+  // so the bytes agree exactly.
   Rng rng(5);
-  const Tensor a = Tensor::randn({3, 7}, rng);
-  EXPECT_TRUE(a.transpose2d().transpose2d().allclose(a));
-  EXPECT_EQ(a.transpose2d().shape(), (Shape{7, 3}));
-  EXPECT_FLOAT_EQ(a.transpose2d()(2, 1), a(1, 2));
+  const Tensor a = Tensor::randn({7, 3}, rng);
+  const Tensor b = Tensor::randn({7, 19}, rng);
+  const Tensor c = Tensor::randn({19, 3}, rng);
+  const Tensor tn = a.matmul_tn(b);
+  EXPECT_EQ(tn.shape(), (Shape{3, 19}));
+  EXPECT_TRUE(bitwise_equal(tn, transposed(a).matmul(b)));
+  const Tensor nt = b.matmul_nt(b);
+  EXPECT_EQ(nt.shape(), (Shape{7, 7}));
+  EXPECT_TRUE(bitwise_equal(nt, b.matmul(transposed(b))));
+  EXPECT_TRUE(bitwise_equal(a.matmul_nt(c), a.matmul(transposed(c))));
+  EXPECT_THROW(a.matmul_tn(c), std::runtime_error);
+  EXPECT_THROW(a.matmul_nt(b), std::runtime_error);
 }
 
 TEST(Tensor, MatmulTransposeProperty) {
@@ -156,8 +180,42 @@ TEST(Tensor, MatmulTransposeProperty) {
   Rng rng(11);
   const Tensor a = Tensor::randn({4, 6}, rng);
   const Tensor b = Tensor::randn({6, 3}, rng);
-  EXPECT_TRUE(a.matmul(b).transpose2d().allclose(
-      b.transpose2d().matmul(a.transpose2d()), 1e-4f, 1e-4f));
+  EXPECT_TRUE(transposed(a.matmul(b)).allclose(b.matmul_tn(transposed(a)), 1e-4f, 1e-4f));
+}
+
+TEST(Tensor, MatmulIntoReusesStorageAcrossShapes) {
+  // A reused output shrinks and regrows (32 -> 1 -> 32 rows) without
+  // reallocating, and every element is rewritten each time, bias included.
+  Rng rng(13);
+  const Tensor w = Tensor::randn({10, 17}, rng);
+  const Tensor bias = Tensor::randn({17}, rng);
+  Tensor out;
+  for (std::size_t rows : {32u, 1u, 32u}) {
+    const Tensor x = Tensor::randn({rows, 10}, rng);
+    of::tensor::matmul_into(out, x, w, of::tensor::Transpose::None, &bias);
+    Tensor expect = x.matmul(w);
+    for (std::size_t i = 0; i < rows; ++i)
+      for (std::size_t j = 0; j < 17; ++j) expect(i, j) = expect(i, j) + bias[j];
+    EXPECT_TRUE(bitwise_equal(out, expect)) << rows << " rows";
+  }
+  const float* storage = out.data();
+  of::tensor::matmul_into(out, Tensor::randn({1, 10}, rng), w);
+  EXPECT_EQ(out.data(), storage);
+  EXPECT_THROW(of::tensor::matmul_into(out, out, w), std::runtime_error);
+}
+
+TEST(Tensor, MatmulAccMatchesAddingTheProduct) {
+  Rng rng(14);
+  const Tensor x = Tensor::randn({32, 20}, rng);
+  const Tensor dy = Tensor::randn({32, 17}, rng);
+  Tensor grad = Tensor::randn({20, 17}, rng);
+  Tensor expect = grad;
+  expect.add_(x.matmul_tn(dy));
+  of::tensor::matmul_acc(grad, x, dy, of::tensor::Transpose::Lhs);
+  EXPECT_TRUE(bitwise_equal(grad, expect));
+  Tensor wrong({17, 20});
+  EXPECT_THROW(of::tensor::matmul_acc(wrong, x, dy, of::tensor::Transpose::Lhs),
+               std::runtime_error);
 }
 
 TEST(Tensor, ReshapeAndFlatten) {
