@@ -3,9 +3,9 @@
 // Every hot inner loop of the update pipeline (tensor elementwise ops, the
 // matmul tiles, the conv axpy, scale-while-flatten stores, frame-body
 // accumulation, QSGD quantize/dequantize, DP clip-and-perturb) funnels
-// through this facade. At configure() time the facade binds either the AVX2 kernel table
-// (when the CPU supports avx2+f16c and the mode allows it) or the scalar
-// table; call sites never branch on the ISA themselves.
+// through this facade. At configure() time the facade binds either the
+// AVX2 kernel table (when the CPU supports avx2+f16c and the mode allows
+// it) or the scalar table; call sites never branch on the ISA themselves.
 //
 // The contract that makes `exec: {simd: auto}` safe to flip on: every
 // kernel's scalar fallback performs the *same arithmetic in the same order*
