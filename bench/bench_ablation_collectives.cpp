@@ -13,13 +13,13 @@
 
 #include "comm/inproc.hpp"
 #include "comm/modeled.hpp"
-#include "comm/star.hpp"
 
 namespace {
 
 using of::comm::Communicator;
 using of::comm::InProcGroup;
 using of::comm::ReduceOp;
+using of::tensor::Bytes;
 using of::tensor::Tensor;
 
 struct Result {
@@ -53,9 +53,17 @@ Result run_star(int world, std::size_t numel) {
     threads.emplace_back([&, r] {
       auto& c = group.comm(r);
       Tensor t = Tensor::full({numel}, static_cast<float>(r));
-      // Star semantics: everyone ships to rank 0, rank 0 broadcasts back.
-      of::comm::star::reduce(c, t, 0, ReduceOp::Mean);
-      of::comm::star::broadcast(c, t, 0);
+      // Star semantics, as the engine's hub runs them: everyone ships to
+      // rank 0, rank 0 averages and broadcasts the mean back.
+      const auto frames = c.gather_bytes(of::tensor::serialize_tensor(t), 0);
+      Bytes mean;
+      if (r == 0) {
+        for (int p = 1; p < world; ++p)
+          t.add_(of::tensor::deserialize_tensor(frames[static_cast<std::size_t>(p)]));
+        t.scale_(1.0f / static_cast<float>(world));
+        mean = of::tensor::serialize_tensor(t);
+      }
+      c.broadcast_bytes(mean, 0);
     });
   }
   for (auto& t : threads) t.join();

@@ -20,73 +20,31 @@ class ScopedTimer {
   std::chrono::steady_clock::time_point t0_;
 };
 
+// Ring slices travel as serialized tensors, so the per-step wire bytes are
+// the textbook chunk plus one shape header (DESIGN.md §1, Fig. 7).
+void send_slice(Communicator& c, int dst, int tag, const Tensor& t) {
+  c.send_bytes(dst, tag, tensor::serialize_tensor(t));
+}
+
+Tensor recv_slice(Communicator& c, int src, int tag) {
+  return tensor::deserialize_tensor(c.recv_bytes(src, tag));
+}
+
+void check_star_root(const Communicator& c, int root) {
+  OF_CHECK_MSG(!c.star_only() || root == 0, "star collectives require root == 0 (the hub)");
+}
+
 }  // namespace
-
-void apply_reduce(Tensor& acc, const Tensor& incoming, ReduceOp op) {
-  OF_CHECK_MSG(acc.same_shape(incoming), "reduce shape mismatch");
-  switch (op) {
-    case ReduceOp::Sum:
-    case ReduceOp::Mean:  // Mean divides at the end of the collective
-      acc.add_(incoming);
-      break;
-    case ReduceOp::Max:
-      for (std::size_t i = 0; i < acc.numel(); ++i)
-        acc[i] = std::max(acc[i], incoming[i]);
-      break;
-  }
-}
-
-void Communicator::send_tensor(int dst, int tag, const Tensor& t) {
-  send_bytes(dst, tag, tensor::serialize_tensor(t));
-}
-
-Tensor Communicator::recv_tensor(int src, int tag) {
-  return tensor::deserialize_tensor(recv_bytes(src, tag));
-}
-
-// --- binomial-tree broadcast --------------------------------------------------
-// Ranks are re-labelled relative to the root; in round k, ranks < 2^k with
-// data forward to rank + 2^k. log2(P) rounds.
-void Communicator::broadcast(Tensor& t, int root) {
-  const int P = world_size();
-  OF_CHECK_MSG(root >= 0 && root < P, "broadcast root out of range");
-  if (P == 1) return;
-  double elapsed = 0.0;
-  {
-    ScopedTimer timer(elapsed);
-    const int tag = next_collective_tag();
-    const int vrank = (rank() - root + P) % P;
-    // Receive phase: wait on the parent (vrank with its lowest set bit
-    // cleared), then fall through to forwarding.
-    int mask = 1;
-    while (mask < P) {
-      if (vrank & mask) {
-        t = recv_tensor(((vrank ^ mask) + root) % P, tag);
-        break;
-      }
-      mask <<= 1;
-    }
-    // Send phase: forward to children vrank + m for m below our entry mask.
-    mask >>= 1;
-    while (mask > 0) {
-      const int child = vrank + mask;
-      if (child < P) send_tensor((child + root) % P, tag, t);
-      mask >>= 1;
-    }
-  }
-  account_time(elapsed);
-}
 
 // --- ring all-reduce -------------------------------------------------------------
 // Reduce-scatter then all-gather; 2(P-1) steps, each moving ~numel/P
 // elements — the bandwidth-optimal algorithm (Horovod/NCCL style) the paper
 // cites for fast intra-site aggregation.
 void Communicator::allreduce(Tensor& t, ReduceOp op) {
+  OF_CHECK_MSG(!star_only(), "ring allreduce needs all-to-all links; "
+                                 << name() << " is a client/server star");
   const int P = world_size();
-  if (P == 1) {
-    if (op == ReduceOp::Mean) { /* mean of one contribution is itself */ }
-    return;
-  }
+  if (P == 1) return;  // the sum and the mean of one contribution are itself
   double elapsed = 0.0;
   {
     ScopedTimer timer(elapsed);
@@ -112,24 +70,19 @@ void Communicator::allreduce(Tensor& t, ReduceOp op) {
     for (int step = 0; step < P - 1; ++step) {
       const int send_chunk = ((r - step) % P + P) % P;
       const int recv_chunk = ((r - step - 1) % P + P) % P;
-      send_tensor(right, tag, slice_of(t, send_chunk));
-      Tensor incoming = recv_tensor(left, tag);
+      send_slice(*this, right, tag, slice_of(t, send_chunk));
+      Tensor incoming = recv_slice(*this, left, tag);
       const std::size_t b = bound[static_cast<std::size_t>(recv_chunk)];
       const std::size_t len = incoming.numel();
       OF_CHECK(len == bound[static_cast<std::size_t>(recv_chunk) + 1] - b);
-      if (op == ReduceOp::Max) {
-        for (std::size_t i = 0; i < len; ++i)
-          t[b + i] = std::max(t[b + i], incoming[i]);
-      } else {
-        for (std::size_t i = 0; i < len; ++i) t[b + i] += incoming[i];
-      }
+      for (std::size_t i = 0; i < len; ++i) t[b + i] += incoming[i];
     }
     // Phase 2: all-gather the reduced chunks around the ring.
     for (int step = 0; step < P - 1; ++step) {
       const int send_chunk = ((r + 1 - step) % P + P) % P;
       const int recv_chunk = ((r - step) % P + P) % P;
-      send_tensor(right, tag + 1, slice_of(t, send_chunk));
-      Tensor incoming = recv_tensor(left, tag + 1);
+      send_slice(*this, right, tag + 1, slice_of(t, send_chunk));
+      Tensor incoming = recv_slice(*this, left, tag + 1);
       const std::size_t b = bound[static_cast<std::size_t>(recv_chunk)];
       OF_CHECK(incoming.numel() == bound[static_cast<std::size_t>(recv_chunk) + 1] - b);
       std::copy_n(incoming.data(), incoming.numel(), t.data() + b);
@@ -139,91 +92,8 @@ void Communicator::allreduce(Tensor& t, ReduceOp op) {
   account_time(elapsed);
 }
 
-// --- binomial-tree reduce ----------------------------------------------------------
-void Communicator::reduce(Tensor& t, int root, ReduceOp op) {
-  const int P = world_size();
-  OF_CHECK_MSG(root >= 0 && root < P, "reduce root out of range");
-  if (P == 1) return;
-  double elapsed = 0.0;
-  {
-    ScopedTimer timer(elapsed);
-    const int tag = next_collective_tag();
-    const int vrank = (rank() - root + P) % P;
-    for (int mask = 1; mask < P; mask <<= 1) {
-      if ((vrank & mask) != 0) {
-        // Send the partial to the peer with this bit cleared, then done.
-        const int peer = ((vrank & ~mask) + root) % P;
-        send_tensor(peer, tag, t);
-        break;
-      }
-      const int peer_v = vrank | mask;
-      if (peer_v < P) {
-        Tensor incoming = recv_tensor((peer_v + root) % P, tag);
-        apply_reduce(t, incoming, op);
-      }
-    }
-    if (vrank == 0 && op == ReduceOp::Mean) t.scale_(1.0f / static_cast<float>(P));
-  }
-  account_time(elapsed);
-}
-
-std::vector<Tensor> Communicator::gather(const Tensor& t, int root) {
-  const int P = world_size();
-  OF_CHECK_MSG(root >= 0 && root < P, "gather root out of range");
-  double elapsed = 0.0;
-  std::vector<Tensor> out;
-  {
-    ScopedTimer timer(elapsed);
-    const int tag = next_collective_tag();
-    if (rank() == root) {
-      out.resize(static_cast<std::size_t>(P));
-      out[static_cast<std::size_t>(root)] = t;
-      for (int p = 0; p < P; ++p)
-        if (p != root) out[static_cast<std::size_t>(p)] = recv_tensor(p, tag);
-    } else {
-      send_tensor(root, tag, t);
-    }
-  }
-  account_time(elapsed);
-  return out;
-}
-
-std::vector<Tensor> Communicator::allgather(const Tensor& t) {
-  const int P = world_size();
-  std::vector<Tensor> out(static_cast<std::size_t>(P));
-  if (P == 1) {
-    out[0] = t;
-    return out;
-  }
-  double elapsed = 0.0;
-  {
-    ScopedTimer timer(elapsed);
-    const int tag = next_collective_tag();
-    const int r = rank();
-    const int right = (r + 1) % P;
-    const int left = (r - 1 + P) % P;
-    out[static_cast<std::size_t>(r)] = t;
-    // Ring: in step s, forward the block received in step s-1.
-    int have = r;
-    for (int step = 0; step < P - 1; ++step) {
-      send_tensor(right, tag, out[static_cast<std::size_t>(have)]);
-      const int incoming_idx = ((left - step) % P + P) % P;
-      out[static_cast<std::size_t>(incoming_idx)] = recv_tensor(left, tag);
-      have = incoming_idx;
-    }
-  }
-  account_time(elapsed);
-  return out;
-}
-
-void Communicator::barrier() {
-  Tensor token({1});
-  // Reduce-then-broadcast of a 1-element token synchronizes everyone.
-  reduce(token, 0, ReduceOp::Sum);
-  broadcast(token, 0);
-}
-
 std::vector<Bytes> Communicator::gather_bytes(const Bytes& b, int root) {
+  check_star_root(*this, root);
   const int P = world_size();
   std::vector<Bytes> out;
   const int tag = next_collective_tag();
@@ -239,6 +109,7 @@ std::vector<Bytes> Communicator::gather_bytes(const Bytes& b, int root) {
 }
 
 void Communicator::broadcast_bytes(Bytes& b, int root) {
+  check_star_root(*this, root);
   const int P = world_size();
   const int tag = next_collective_tag();
   if (rank() == root) {
@@ -269,7 +140,9 @@ std::vector<Bytes> Communicator::allgather_bytes(const Bytes& b) {
     const auto count = tensor::read_pod<std::uint32_t>(packed, off);
     for (std::uint32_t i = 0; i < count; ++i) {
       const auto len = tensor::read_pod<std::uint64_t>(packed, off);
-      OF_CHECK_MSG(off + len <= packed.size(), "allgather_bytes frame truncated");
+      // `len` is peer-supplied: compare against what is left, never
+      // `off + len`, which a huge length wraps past the check.
+      OF_CHECK_MSG(len <= packed.size() - off, "allgather_bytes frame truncated");
       all.emplace_back(packed.begin() + static_cast<std::ptrdiff_t>(off),
                        packed.begin() + static_cast<std::ptrdiff_t>(off + len));
       off += len;

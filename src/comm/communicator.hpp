@@ -1,11 +1,12 @@
 // Communicator — OmniFed's unified communication API (paper §3.3).
 //
-// One abstract interface with point-to-point primitives and collective
-// operations; concrete backends (shared-memory "MPI", TCP "gRPC", modeled
-// WAN links) plug in underneath without any caller change. Collectives have
-// default implementations built on send/recv using the textbook algorithms
-// (binomial-tree broadcast/reduce, ring all-reduce, ring all-gather);
-// backends with different connectivity (the TCP star) override them.
+// One abstract interface: backends (shared-memory "MPI", TCP "gRPC", AMQP
+// queues, modeled WAN links) implement point-to-point send/recv, and the
+// base class builds the only collectives the engine uses on top of them:
+// the ring all-reduce of intra-site aggregation, and the byte gather,
+// broadcast and all-gather of client/server rounds and the sparse-codec
+// exchange. No backend overrides a collective; a star backend (TCP) only
+// restricts them to what its links allow (root 0, no ring).
 //
 // All ranks of a group must call collectives in the same order — the same
 // contract as MPI. Per-communicator byte/time accounting feeds the paper's
@@ -28,7 +29,7 @@ using tensor::Bytes;
 using tensor::ConstByteSpan;
 using tensor::Tensor;
 
-enum class ReduceOp { Sum, Mean, Max };
+enum class ReduceOp { Sum, Mean };
 
 struct CommStats {
   std::uint64_t bytes_sent = 0;
@@ -64,8 +65,8 @@ class Communicator {
   virtual int world_size() const = 0;
   virtual std::string name() const = 0;
   // True when point-to-point links exist only between rank 0 and the other
-  // ranks (client/server star). Callers composing collectives from
-  // send/recv must then use star algorithms (see star.hpp).
+  // ranks (client/server star). The byte collectives then require root 0,
+  // and the ring all-reduce is refused.
   virtual bool star_only() const { return false; }
   // Public tag allocation for external collective helpers.
   int claim_collective_tag() noexcept { return next_collective_tag(); }
@@ -83,9 +84,6 @@ class Communicator {
   void send_bytes(int dst, int tag, const Bytes& payload) {
     send_bytes(dst, tag, ConstByteSpan(payload));
   }
-
-  void send_tensor(int dst, int tag, const Tensor& t);
-  Tensor recv_tensor(int src, int tag);
 
   // Any-source receive: next message carrying `tag` from whichever peer
   // delivered first. The backbone of asynchronous aggregation (FedAsync):
@@ -115,18 +113,16 @@ class Communicator {
   }
 
   // --- collectives -----------------------------------------------------------
-  virtual void broadcast(Tensor& t, int root);
-  virtual void allreduce(Tensor& t, ReduceOp op);
-  virtual void reduce(Tensor& t, int root, ReduceOp op);
-  virtual std::vector<Tensor> gather(const Tensor& t, int root);
-  virtual std::vector<Tensor> allgather(const Tensor& t);
-  virtual void barrier();
+  // Ring all-reduce (reduce-scatter + all-gather) over the group; needs
+  // all-to-all links, so a star backend rejects it.
+  void allreduce(Tensor& t, ReduceOp op);
 
-  // Variable-length byte gather (compressed payloads are not fixed-size).
-  virtual std::vector<Bytes> gather_bytes(const Bytes& b, int root);
-  virtual void broadcast_bytes(Bytes& b, int root);
+  // Variable-length byte gather (compressed payloads are not fixed-size):
+  // the root returns every rank's frame in rank order, others an empty set.
+  std::vector<Bytes> gather_bytes(const Bytes& b, int root);
+  void broadcast_bytes(Bytes& b, int root);
   // All-gather of variable-length frames (sparse-codec exchange path).
-  virtual std::vector<Bytes> allgather_bytes(const Bytes& b);
+  std::vector<Bytes> allgather_bytes(const Bytes& b);
 
   // Virtual so backends with thread-updated counters (TCP reconnects) can
   // merge them into the snapshot without racing the owner thread.
@@ -181,8 +177,5 @@ class Communicator {
   std::uint32_t collective_seq_ = 0;
   std::uint32_t collective_tag_window_ = kCollectiveSeqWindow;
 };
-
-// Apply `op` elementwise: acc = acc (op) incoming.
-void apply_reduce(Tensor& acc, const Tensor& incoming, ReduceOp op);
 
 }  // namespace of::comm

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <thread>
 
-#include "comm/star.hpp"
 #include "obs/trace.hpp"
 
 namespace of::comm {
@@ -46,44 +45,6 @@ std::optional<std::pair<int, Bytes>> ModeledLinkCommunicator::try_recv_bytes_any
   auto got = inner_->try_recv_bytes_any(tag, timeout_seconds);
   if (got) account_recv(got->second.size());
   return got;
-}
-
-void ModeledLinkCommunicator::broadcast(Tensor& t, int root) {
-  if (star_only()) star::broadcast(*this, t, root);
-  else Communicator::broadcast(t, root);
-}
-
-void ModeledLinkCommunicator::allreduce(Tensor& t, ReduceOp op) {
-  if (star_only()) star::allreduce(*this, t, op);
-  else Communicator::allreduce(t, op);
-}
-
-void ModeledLinkCommunicator::reduce(Tensor& t, int root, ReduceOp op) {
-  if (star_only()) star::reduce(*this, t, root, op);
-  else Communicator::reduce(t, root, op);
-}
-
-std::vector<Tensor> ModeledLinkCommunicator::gather(const Tensor& t, int root) {
-  return star_only() ? star::gather(*this, t, root) : Communicator::gather(t, root);
-}
-
-std::vector<Tensor> ModeledLinkCommunicator::allgather(const Tensor& t) {
-  return star_only() ? star::allgather(*this, t) : Communicator::allgather(t);
-}
-
-void ModeledLinkCommunicator::barrier() {
-  if (star_only()) star::barrier(*this);
-  else Communicator::barrier();
-}
-
-std::vector<Bytes> ModeledLinkCommunicator::gather_bytes(const Bytes& b, int root) {
-  return star_only() ? star::gather_bytes(*this, b, root)
-                     : Communicator::gather_bytes(b, root);
-}
-
-void ModeledLinkCommunicator::broadcast_bytes(Bytes& b, int root) {
-  if (star_only()) star::broadcast_bytes(*this, b, root);
-  else Communicator::broadcast_bytes(b, root);
 }
 
 }  // namespace of::comm

@@ -4,6 +4,9 @@
 // cross-facility experiment (Fig. 7): the intra-site "MPI" group gets a
 // fast link model, the cross-site "gRPC" star gets a slow WAN model.
 //
+// The inherited collectives run over the delayed send/recv, so every
+// message of a ring or star exchange pays the link model.
+//
 // Two delay modes:
 //   Sleep   — really sleeps, so wall-clock measurements show the regime
 //   Virtual — only accounts the delay into stats().seconds_in_comm, for
@@ -60,18 +63,6 @@ class ModeledLinkCommunicator final : public Communicator {
     s.frames_dropped += in.frames_dropped;
     return s;
   }
-
-  // Collectives: use the inherited tree/ring algorithms over the delayed
-  // send/recv when fully connected; fall back to star algorithms when the
-  // inner topology is a star.
-  void broadcast(Tensor& t, int root) override;
-  void allreduce(Tensor& t, ReduceOp op) override;
-  void reduce(Tensor& t, int root, ReduceOp op) override;
-  std::vector<Tensor> gather(const Tensor& t, int root) override;
-  std::vector<Tensor> allgather(const Tensor& t) override;
-  void barrier() override;
-  std::vector<Bytes> gather_bytes(const Bytes& b, int root) override;
-  void broadcast_bytes(Bytes& b, int root) override;
 
   // Total modeled delay injected so far (useful in Virtual mode).
   double modeled_delay_seconds() const noexcept { return modeled_delay_; }

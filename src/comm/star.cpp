@@ -8,90 +8,6 @@
 
 namespace of::comm::star {
 
-void broadcast(Communicator& c, Tensor& t, int root) {
-  OF_CHECK_MSG(root == 0, "star collectives require root == 0 (the hub)");
-  const int tag = c.claim_collective_tag();
-  if (c.rank() == 0) {
-    const Bytes payload = tensor::serialize_tensor(t);
-    for (int p = 1; p < c.world_size(); ++p) c.send_bytes(p, tag, payload);
-  } else {
-    t = tensor::deserialize_tensor(c.recv_bytes(0, tag));
-  }
-}
-
-void reduce(Communicator& c, Tensor& t, int root, ReduceOp op) {
-  OF_CHECK_MSG(root == 0, "star collectives require root == 0 (the hub)");
-  const int tag = c.claim_collective_tag();
-  if (c.rank() == 0) {
-    for (int p = 1; p < c.world_size(); ++p) {
-      Tensor incoming = tensor::deserialize_tensor(c.recv_bytes(p, tag));
-      apply_reduce(t, incoming, op);
-    }
-    if (op == ReduceOp::Mean) t.scale_(1.0f / static_cast<float>(c.world_size()));
-  } else {
-    c.send_bytes(0, tag, tensor::serialize_tensor(t));
-  }
-}
-
-void allreduce(Communicator& c, Tensor& t, ReduceOp op) {
-  reduce(c, t, 0, op);
-  broadcast(c, t, 0);
-}
-
-std::vector<Tensor> gather(Communicator& c, const Tensor& t, int root) {
-  OF_CHECK_MSG(root == 0, "star collectives require root == 0 (the hub)");
-  const int tag = c.claim_collective_tag();
-  std::vector<Tensor> out;
-  if (c.rank() == 0) {
-    out.resize(static_cast<std::size_t>(c.world_size()));
-    out[0] = t;
-    for (int p = 1; p < c.world_size(); ++p)
-      out[static_cast<std::size_t>(p)] = tensor::deserialize_tensor(c.recv_bytes(p, tag));
-  } else {
-    c.send_bytes(0, tag, tensor::serialize_tensor(t));
-  }
-  return out;
-}
-
-std::vector<Tensor> allgather(Communicator& c, const Tensor& t) {
-  std::vector<Tensor> all = gather(c, t, 0);
-  const int tag = c.claim_collective_tag();
-  if (c.rank() == 0) {
-    const Bytes packed = tensor::serialize_tensors(all);
-    for (int p = 1; p < c.world_size(); ++p) c.send_bytes(p, tag, packed);
-  } else {
-    all = tensor::deserialize_tensors(c.recv_bytes(0, tag));
-  }
-  return all;
-}
-
-void barrier(Communicator& c) {
-  const int tag = c.claim_collective_tag();
-  const Bytes empty;
-  if (c.rank() == 0) {
-    for (int p = 1; p < c.world_size(); ++p) (void)c.recv_bytes(p, tag);
-    for (int p = 1; p < c.world_size(); ++p) c.send_bytes(p, tag + 1, empty);
-  } else {
-    c.send_bytes(0, tag, empty);
-    (void)c.recv_bytes(0, tag + 1);
-  }
-}
-
-std::vector<Bytes> gather_bytes(Communicator& c, const Bytes& b, int root) {
-  OF_CHECK_MSG(root == 0, "star collectives require root == 0 (the hub)");
-  const int tag = c.claim_collective_tag();
-  std::vector<Bytes> out;
-  if (c.rank() == 0) {
-    out.resize(static_cast<std::size_t>(c.world_size()));
-    out[0] = b;
-    for (int p = 1; p < c.world_size(); ++p)
-      out[static_cast<std::size_t>(p)] = c.recv_bytes(p, tag);
-  } else {
-    c.send_bytes(0, tag, b);
-  }
-  return out;
-}
-
 StreamingGather gather_bytes_streaming(Communicator& c, const Bytes& b,
                                        const FrameSink& sink,
                                        const PartialGatherOptions& opt) {
@@ -168,16 +84,6 @@ StreamingGather gather_bytes_streaming(Communicator& c, const Bytes& b,
   std::sort(out.participated.begin(), out.participated.end());
   std::sort(out.dropped.begin(), out.dropped.end());
   return out;
-}
-
-void broadcast_bytes(Communicator& c, Bytes& b, int root) {
-  OF_CHECK_MSG(root == 0, "star collectives require root == 0 (the hub)");
-  const int tag = c.claim_collective_tag();
-  if (c.rank() == 0) {
-    for (int p = 1; p < c.world_size(); ++p) c.send_bytes(p, tag, b);
-  } else {
-    b = c.recv_bytes(0, tag);
-  }
 }
 
 }  // namespace of::comm::star

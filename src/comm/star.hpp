@@ -1,7 +1,7 @@
-// Star-topology collective algorithms, shared by every communicator whose
-// connectivity is client/server only (TcpCommunicator and any decorator
-// wrapped around it). Rank 0 is always the hub. Every rank of the group
-// must call these in the same order.
+// The deadline-based streaming gather of a star hub (rank 0). Works over
+// any communicator; the plain byte collectives live on Communicator itself.
+// Every rank of the group must call it in the same order as its other
+// collectives.
 #pragma once
 
 #include <functional>
@@ -10,17 +10,6 @@
 
 namespace of::comm::star {
 
-void broadcast(Communicator& c, Tensor& t, int root);
-void reduce(Communicator& c, Tensor& t, int root, ReduceOp op);
-void allreduce(Communicator& c, Tensor& t, ReduceOp op);
-std::vector<Tensor> gather(Communicator& c, const Tensor& t, int root);
-std::vector<Tensor> allgather(Communicator& c, const Tensor& t);
-void barrier(Communicator& c);
-std::vector<Bytes> gather_bytes(Communicator& c, const Bytes& b, int root);
-void broadcast_bytes(Communicator& c, Bytes& b, int root);
-
-// --- deadline-based streaming gather ------------------------------------------
-//
 // The fault-tolerant, streaming variant of gather_bytes — the primitive of
 // every hub that cuts stragglers (centralized fault runs, hierarchical
 // combiners). The hub collects client frames until either everyone

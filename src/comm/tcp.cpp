@@ -1,7 +1,6 @@
 #include "comm/tcp.hpp"
 
 #include "comm/event_loop.hpp"
-#include "comm/star.hpp"
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -83,6 +82,17 @@ struct FrameHeader {
   std::uint64_t span_id;
 };
 static_assert(sizeof(FrameHeader) == 40, "frame header must stay packed");
+
+// The one check every received header passes, on both ends: a wrong magic
+// or a length past the frame cap is a corrupt or hostile peer, rejected
+// before any payload is allocated.
+bool header_ok(const FrameHeader& h) {
+  return h.magic == kMagic && h.len <= kMaxFrameBytes;
+}
+
+obs::TraceContext context_of(const FrameHeader& h) {
+  return obs::TraceContext{h.trace_id, h.span_id, h.round};
+}
 
 bool read_exact(int fd, void* buf, std::size_t n) {
   auto* p = static_cast<std::uint8_t*>(buf);
@@ -491,23 +501,15 @@ void TcpCommunicator::server_admit(int fd, int src) {
   }
 }
 
-void TcpCommunicator::server_dispatch(int fd, int peer_rank, int tag,
-                                      std::uint32_t round, std::uint64_t trace_id,
-                                      std::uint64_t span_id) {
-  auto it = srv_->conns.find(fd);
-  if (it == srv_->conns.end()) return;
-  Bytes payload = std::exchange(it->second->payload, Bytes{});
+bool TcpCommunicator::deliver(int peer_rank, int tag, Inbound&& frame) {
   if (tag == kPingTag) {
-    // Clock-sync ping: answer from the loop so the sample never waits behind
-    // application recvs. Payload: echo token + our clock (trace timebase),
-    // plus the injectable test skew.
-    if (payload.size() != 8) {
-      server_drop_conn(fd, std::string());  // malformed control frame
-      return;
-    }
+    // Clock-sync ping: answer from the reading thread so the sample never
+    // waits behind application recvs. Payload: echo token + our clock
+    // (trace timebase), plus the injectable test skew.
+    if (frame.payload.size() != 8) return false;  // malformed control frame
     Bytes pong;
     pong.reserve(16);
-    put_le64(pong, get_le64(payload.data()));
+    put_le64(pong, get_le64(frame.payload.data()));
     const std::int64_t server_ns =
         static_cast<std::int64_t>(obs::TraceRecorder::global().now_ns()) +
         pong_skew_ns_.load(std::memory_order_relaxed);
@@ -516,16 +518,16 @@ void TcpCommunicator::server_dispatch(int fd, int peer_rank, int tag,
     std::lock_guard<std::mutex> lock(p.mu);
     if (p.up && p.fd >= 0)
       (void)write_frame_locked(p, kPongTag, ConstByteSpan(pong), {});
-    return;
+    return true;
   }
-  tcp_frame_recv_bytes().observe(payload.size());
-  obs::instant(obs::Name::TcpRecv, rank_, 0, payload.size());
+  tcp_frame_recv_bytes().observe(frame.payload.size());
+  obs::instant(obs::Name::TcpRecv, rank_, 0, frame.payload.size());
   {
     std::lock_guard<std::mutex> lock(inbox_mu_);
-    inbox_[{peer_rank, tag}].push(
-        Inbound{std::move(payload), obs::TraceContext{trace_id, span_id, round}});
+    inbox_[{peer_rank, tag}].push(std::move(frame));
   }
   inbox_cv_.notify_all();
+  return true;
 }
 
 void TcpCommunicator::server_on_conn(int fd, std::uint32_t events) {
@@ -626,7 +628,7 @@ void TcpCommunicator::server_on_conn(int fd, std::uint32_t events) {
         FrameHeader h;
         std::memcpy(&h, c->head, sizeof(h));
         std::string err;
-        if (h.magic != kMagic || h.tag != kHelloTag || h.len != 0)
+        if (!header_ok(h) || h.tag != kHelloTag || h.len != 0)
           err = "malformed client hello";
         else if (h.src < 1 || h.src >= world_size_)
           err = "client announced invalid rank " + std::to_string(h.src);
@@ -642,27 +644,25 @@ void TcpCommunicator::server_on_conn(int fd, std::uint32_t events) {
       }
       case Stage::kHeader:
         std::memcpy(&c->h, c->head, sizeof(c->h));
-        if (c->h.magic != kMagic || c->h.len > kMaxFrameBytes) {
+        if (!header_ok(c->h)) {
           server_drop_conn(fd, std::string());  // protocol violation → drop link
           return;
         }
         c->got = 0;
-        if (c->h.len == 0) {
-          c->payload.clear();
-          server_dispatch(fd, c->peer, c->h.tag, c->h.round, c->h.trace_id,
-                          c->h.span_id);
-          if (srv_->conns.find(fd) == srv_->conns.end()) return;
-        } else {
-          c->payload.resize(c->h.len);
+        c->payload.resize(c->h.len);
+        if (c->h.len > 0) {
           c->stage = Stage::kPayload;
+          break;
         }
-        break;
+        [[fallthrough]];  // an empty frame is complete with its header
       case Stage::kPayload:
         c->stage = Stage::kHeader;
         c->got = 0;
-        server_dispatch(fd, c->peer, c->h.tag, c->h.round, c->h.trace_id,
-                        c->h.span_id);
-        if (srv_->conns.find(fd) == srv_->conns.end()) return;
+        if (!deliver(c->peer, c->h.tag,
+                     Inbound{std::exchange(c->payload, Bytes{}), context_of(c->h)})) {
+          server_drop_conn(fd, std::string());
+          return;
+        }
         break;
       case Stage::kHttpRead:
       case Stage::kHttpWrite:
@@ -697,20 +697,13 @@ void TcpCommunicator::reader_main(int peer_rank, int fd) {
 
 void TcpCommunicator::read_frames(int peer_rank, int fd) {
   for (;;) {
+    // Returning drops the link: the peer closed, or sent a frame that
+    // violates the protocol.
     FrameHeader h{};
-    if (!read_exact(fd, &h, sizeof(h))) return;        // peer closed
-    if (h.magic != kMagic) return;                     // protocol violation → drop link
-    if (h.len > kMaxFrameBytes) return;                // absurd length → drop link
+    if (!read_exact(fd, &h, sizeof(h)) || !header_ok(h)) return;
     Bytes payload(h.len);
     if (h.len > 0 && !read_exact(fd, payload.data(), payload.size())) return;
-    tcp_frame_recv_bytes().observe(h.len);
-    obs::instant(obs::Name::TcpRecv, rank_, 0, h.len);
-    {
-      std::lock_guard<std::mutex> lock(inbox_mu_);
-      inbox_[{peer_rank, h.tag}].push(
-          Inbound{std::move(payload), obs::TraceContext{h.trace_id, h.span_id, h.round}});
-    }
-    inbox_cv_.notify_all();
+    if (!deliver(peer_rank, h.tag, Inbound{std::move(payload), context_of(h)})) return;
   }
 }
 
@@ -977,27 +970,6 @@ std::pair<int, Bytes> TcpCommunicator::recv_bytes_any(int tag) {
   auto got = try_recv_bytes_any(tag, timeout_seconds_);
   OF_CHECK_MSG(got.has_value(), "TCP recv-any timeout waiting for tag " << tag);
   return std::move(*got);
-}
-
-// --- star-topology collectives (shared algorithms in star.hpp) -----------------
-
-void TcpCommunicator::broadcast(Tensor& t, int root) { star::broadcast(*this, t, root); }
-void TcpCommunicator::reduce(Tensor& t, int root, ReduceOp op) {
-  star::reduce(*this, t, root, op);
-}
-void TcpCommunicator::allreduce(Tensor& t, ReduceOp op) { star::allreduce(*this, t, op); }
-std::vector<Tensor> TcpCommunicator::gather(const Tensor& t, int root) {
-  return star::gather(*this, t, root);
-}
-std::vector<Tensor> TcpCommunicator::allgather(const Tensor& t) {
-  return star::allgather(*this, t);
-}
-void TcpCommunicator::barrier() { star::barrier(*this); }
-std::vector<Bytes> TcpCommunicator::gather_bytes(const Bytes& b, int root) {
-  return star::gather_bytes(*this, b, root);
-}
-void TcpCommunicator::broadcast_bytes(Bytes& b, int root) {
-  star::broadcast_bytes(*this, b, root);
 }
 
 }  // namespace of::comm

@@ -9,25 +9,27 @@
 //                                 | u64 trace_id | u64 span_id | payload[len]
 //
 // Control tags live below the user/collective ranges: hello = −1,
-// clock-sync ping = −2 / pong = −3 (answered on the server's event loop,
-// never touching the collective tag window). A plain-text "GET " where a
-// frame header would be is served as a read-only HTTP scrape of the obs
-// registry/fleet (obs/scrape.hpp) and the connection closed; the response
-// is written off the accept path under a deadline, so a stalled scraper
-// cannot wedge admission of real ranks.
+// clock-sync ping = −2 / pong = −3 (a ping is answered by the thread that
+// read it, on the server its event loop, never touching the collective tag
+// window). A plain-text "GET " where a frame header would be is served as a
+// read-only HTTP scrape of the obs registry/fleet (obs/scrape.hpp) and the
+// connection closed; the response is written off the accept path under a
+// deadline, so a stalled scraper cannot wedge admission of real ranks.
 //
 // Server side (rank 0): one epoll event loop (event_loop.hpp) owns the
 // listen socket and every accepted connection. Accepted sockets are
 // nonblocking; a per-connection state machine reassembles v2 frames
-// (sniff → hello → header → payload) and posts them to the inbox, so
-// thousands of clients multiplex in one thread instead of one blocking
-// reader thread each (DESIGN.md §10). Clients keep a single blocking
-// reader thread for their one server link.
+// (sniff → hello → header → payload), so thousands of clients multiplex in
+// one thread instead of one blocking reader thread each (DESIGN.md §10).
+// Clients keep a single blocking reader thread for their one server link.
+// Both ends pass every header through one check (magic, frame cap) and
+// hand every complete frame to one deliver(), which answers pings and
+// posts everything else to the inbox.
 //
-// Point-to-point is only defined along star edges (server↔client), so the
-// tree/ring collective defaults are overridden with client/server
-// semantics: broadcast = server sends to each client, reduce/gather =
-// clients send to the server. This reproduces gRPC-based FL's O(P · model)
+// Point-to-point is only defined along star edges (server↔client), so
+// star_only() restricts the base byte collectives to root 0 and refuses
+// the ring all-reduce: gather = clients send to the server, broadcast =
+// server sends to each client. This reproduces gRPC-based FL's O(P · model)
 // server bottleneck that the paper contrasts with ring all-reduce.
 //
 // Fault tolerance (optional, per-communicator): a broken link marks the
@@ -151,16 +153,6 @@ class TcpCommunicator final : public Communicator {
     pong_skew_ns_.store(ns, std::memory_order_relaxed);
   }
 
-  // Star-topology collectives (root must be the server rank 0).
-  void broadcast(Tensor& t, int root) override;
-  void allreduce(Tensor& t, ReduceOp op) override;
-  void reduce(Tensor& t, int root, ReduceOp op) override;
-  std::vector<Tensor> gather(const Tensor& t, int root) override;
-  std::vector<Tensor> allgather(const Tensor& t) override;
-  void barrier() override;
-  std::vector<Bytes> gather_bytes(const Bytes& b, int root) override;
-  void broadcast_bytes(Bytes& b, int root) override;
-
  private:
   // A queued-or-delivered frame: payload plus the sender's trace context
   // (captured at send time so a replay after reconnect keeps its origin).
@@ -190,7 +182,7 @@ class TcpCommunicator final : public Communicator {
 
   void start_reader(int peer_rank, int fd);
   void reader_main(int peer_rank, int fd);
-  // Pull frames off `fd` into the inbox until the link breaks.
+  // Pull frames off `fd` and deliver them until the link breaks.
   void read_frames(int peer_rank, int fd);
   // Client-side reconnect loop (capped exponential backoff). Returns the new
   // fd, or -1 when attempts are exhausted or shutdown began.
@@ -213,10 +205,11 @@ class TcpCommunicator final : public Communicator {
   // Tear down one connection. `err` non-empty aborts setup during group
   // formation (a misbehaving member), and is ignored mid-run.
   void server_drop_conn(int fd, const std::string& err);
-  // Deliver one reassembled frame from an admitted connection (answers
-  // pings inline, everything else goes to the inbox).
-  void server_dispatch(int fd, int peer_rank, int tag, std::uint32_t round,
-                       std::uint64_t trace_id, std::uint64_t span_id);
+
+  // Deliver one complete frame from `peer_rank`, on either end: answer a
+  // ping inline, post everything else to the inbox. False on a malformed
+  // control frame; the caller then drops the link.
+  bool deliver(int peer_rank, int tag, Inbound&& frame);
 
   Peer& peer(int rank);
   const Peer& peer(int rank) const;

@@ -16,7 +16,6 @@
 #include "comm/amqp.hpp"
 #include "comm/inproc.hpp"
 #include "comm/modeled.hpp"
-#include "comm/star.hpp"
 #include "comm/tcp.hpp"
 #include "net_util.hpp"
 
@@ -104,17 +103,34 @@ TEST(InProc, RecvTimeoutGivesReadableError) {
 
 class CollectiveWorldSweep : public ::testing::TestWithParam<int> {};
 
-TEST_P(CollectiveWorldSweep, BroadcastFromEveryRoot) {
+TEST_P(CollectiveWorldSweep, GatherBytesCollectsInRankOrder) {
   const int world = GetParam();
-  for (int root = 0; root < world; ++root) {
-    run_group(world, [&](int rank, Communicator& c) {
-      Tensor t({5});
-      if (rank == root)
-        for (std::size_t i = 0; i < 5; ++i) t[i] = static_cast<float>(i + root);
-      c.broadcast(t, root);
-      for (std::size_t i = 0; i < 5; ++i) EXPECT_FLOAT_EQ(t[i], static_cast<float>(i + root));
-    });
-  }
+  run_group(world, [&](int rank, Communicator& c) {
+    // Variable-length frames: rank p sends p + 1 bytes of value p.
+    const Bytes mine(static_cast<std::size_t>(rank + 1), static_cast<std::uint8_t>(rank));
+    const auto all = c.gather_bytes(mine, 0);
+    if (rank != 0) {
+      EXPECT_TRUE(all.empty());
+      return;
+    }
+    ASSERT_EQ(all.size(), static_cast<std::size_t>(world));
+    for (int p = 0; p < world; ++p)
+      EXPECT_EQ(all[static_cast<std::size_t>(p)],
+                Bytes(static_cast<std::size_t>(p + 1), static_cast<std::uint8_t>(p)));
+  });
+}
+
+TEST_P(CollectiveWorldSweep, BroadcastBytesFromRoot) {
+  const int world = GetParam();
+  run_group(world, [&](int rank, Communicator& c) {
+    Bytes b = rank == 0 ? Bytes{4, 5, 6, 7} : Bytes{};
+    c.broadcast_bytes(b, 0);
+    EXPECT_EQ(b, (Bytes{4, 5, 6, 7})) << "rank " << rank;
+    // An empty frame is a valid broadcast, too.
+    Bytes empty = rank == 0 ? Bytes{} : Bytes{1};
+    c.broadcast_bytes(empty, 0);
+    EXPECT_TRUE(empty.empty()) << "rank " << rank;
+  });
 }
 
 TEST_P(CollectiveWorldSweep, AllreduceSumMatchesSequential) {
@@ -146,52 +162,6 @@ TEST_P(CollectiveWorldSweep, AllreduceMean) {
   });
 }
 
-TEST_P(CollectiveWorldSweep, AllreduceMax) {
-  const int world = GetParam();
-  run_group(world, [&](int rank, Communicator& c) {
-    Tensor t = Tensor::full({4}, static_cast<float>(rank == 1 ? 100 : rank));
-    c.allreduce(t, ReduceOp::Max);
-    const float expect = world > 1 ? 100.0f : 0.0f;
-    EXPECT_FLOAT_EQ(t[0], expect);
-  });
-}
-
-TEST_P(CollectiveWorldSweep, ReduceToEveryRoot) {
-  const int world = GetParam();
-  for (int root = 0; root < world; ++root) {
-    run_group(world, [&](int rank, Communicator& c) {
-      Tensor t = Tensor::full({3}, 1.0f);
-      c.reduce(t, root, ReduceOp::Sum);
-      if (rank == root)
-        EXPECT_FLOAT_EQ(t[0], static_cast<float>(world));
-    });
-  }
-}
-
-TEST_P(CollectiveWorldSweep, GatherCollectsInRankOrder) {
-  const int world = GetParam();
-  run_group(world, [&](int rank, Communicator& c) {
-    const Tensor mine = Tensor::full({2}, static_cast<float>(rank));
-    const auto all = c.gather(mine, 0);
-    if (rank == 0) {
-      ASSERT_EQ(all.size(), static_cast<std::size_t>(world));
-      for (int p = 0; p < world; ++p)
-        EXPECT_FLOAT_EQ(all[static_cast<std::size_t>(p)][0], static_cast<float>(p));
-    }
-  });
-}
-
-TEST_P(CollectiveWorldSweep, AllgatherEveryoneSeesEverything) {
-  const int world = GetParam();
-  run_group(world, [&](int rank, Communicator& c) {
-    const Tensor mine = Tensor::full({3}, static_cast<float>(rank * 10));
-    const auto all = c.allgather(mine);
-    ASSERT_EQ(all.size(), static_cast<std::size_t>(world));
-    for (int p = 0; p < world; ++p)
-      EXPECT_FLOAT_EQ(all[static_cast<std::size_t>(p)][0], static_cast<float>(p * 10));
-  });
-}
-
 TEST_P(CollectiveWorldSweep, AllgatherBytesVariableLength) {
   const int world = GetParam();
   run_group(world, [&](int rank, Communicator& c) {
@@ -205,12 +175,7 @@ TEST_P(CollectiveWorldSweep, AllgatherBytesVariableLength) {
   });
 }
 
-TEST_P(CollectiveWorldSweep, BarrierCompletes) {
-  const int world = GetParam();
-  run_group(world, [&](int, Communicator& c) { c.barrier(); });
-}
-
-INSTANTIATE_TEST_SUITE_P(Worlds, CollectiveWorldSweep, ::testing::Values(1, 2, 3, 4, 5, 8));
+INSTANTIATE_TEST_SUITE_P(Worlds, CollectiveWorldSweep, ::testing::Range(1, 9));
 
 TEST(InProc, AllreduceShorterThanWorld) {
   // numel < world leaves some ring chunks empty; result must still be exact.
@@ -218,6 +183,27 @@ TEST(InProc, AllreduceShorterThanWorld) {
     Tensor t = Tensor::full({2}, static_cast<float>(rank));
     c.allreduce(t, ReduceOp::Sum);
     EXPECT_FLOAT_EQ(t[0], 15.0f);
+  });
+}
+
+TEST(InProc, AllgatherBytesRejectsWrappingFrameLength) {
+  // A packed frame list whose u64 length makes `off + len` wrap must be
+  // refused, not sliced with a reversed iterator range. Rank 0 plays the
+  // allgather root by hand: it takes rank 1's frame on the gather tag, then
+  // sends the hostile list on the broadcast tag.
+  run_group(2, [](int rank, Communicator& c) {
+    if (rank == 1) {
+      EXPECT_THROW((void)c.allgather_bytes(Bytes{1, 2, 3}), std::runtime_error);
+      return;
+    }
+    const int gather_tag = c.claim_collective_tag();
+    const int broadcast_tag = c.claim_collective_tag();
+    EXPECT_EQ(c.recv_bytes(1, gather_tag), (Bytes{1, 2, 3}));
+    Bytes packed;
+    of::tensor::append_pod<std::uint32_t>(packed, 1);
+    of::tensor::append_pod<std::uint64_t>(packed, ~std::uint64_t{0} - 3);  // 2^64 - 4
+    packed.insert(packed.end(), 8, 0xEE);
+    c.send_bytes(1, broadcast_tag, packed);
   });
 }
 
@@ -271,32 +257,64 @@ TEST(Tcp, PointToPointBothWays) {
   });
 }
 
+// Every rank reports in to the hub, and the hub releases them all.
+void star_barrier(Communicator& c) {
+  (void)c.gather_bytes(Bytes{}, 0);
+  Bytes release;
+  c.broadcast_bytes(release, 0);
+}
+
 TEST(Tcp, ClientToClientThrows) {
   run_tcp(3, of::testutil::ephemeral_port(), [](int rank, Communicator& c) {
-    if (rank == 1) EXPECT_THROW(c.send_bytes(2, 1, Bytes{1}), std::runtime_error);
-    c.barrier();
+    if (rank == 1) {
+      EXPECT_THROW(c.send_bytes(2, 1, Bytes{1}), std::runtime_error);
+    }
+    star_barrier(c);
   });
+}
+
+// Expect `fn` to throw a runtime_error whose message contains `what`.
+template <typename Fn>
+void expect_throw_with(Fn&& fn, const std::string& what) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected an error containing: " << what;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
 }
 
 TEST(Tcp, StarCollectives) {
   run_tcp(4, of::testutil::ephemeral_port(), [](int rank, Communicator& c) {
-    // broadcast
-    Tensor t = rank == 0 ? Tensor::full({6}, 3.5f) : Tensor({6});
-    c.broadcast(t, 0);
-    EXPECT_FLOAT_EQ(t[5], 3.5f);
-    // reduce
-    Tensor r = Tensor::full({2}, 1.0f);
-    c.reduce(r, 0, ReduceOp::Sum);
-    if (rank == 0) EXPECT_FLOAT_EQ(r[0], 4.0f);
-    // allreduce mean
-    Tensor a = Tensor::full({3}, static_cast<float>(rank));
-    c.allreduce(a, ReduceOp::Mean);
-    EXPECT_FLOAT_EQ(a[0], 1.5f);
-    // gather / allgather
-    const auto all = c.allgather(Tensor::full({1}, static_cast<float>(rank)));
-    ASSERT_EQ(all.size(), 4u);
-    EXPECT_FLOAT_EQ(all[3][0], 3.0f);
-    c.barrier();
+    ASSERT_TRUE(c.star_only());
+    // gather: the hub gets every frame in rank order
+    const auto all = c.gather_bytes(Bytes(static_cast<std::size_t>(rank), 0x5A), 0);
+    if (rank == 0) {
+      ASSERT_EQ(all.size(), 4u);
+      for (std::size_t p = 0; p < 4; ++p) EXPECT_EQ(all[p], Bytes(p, 0x5A));
+    } else {
+      EXPECT_TRUE(all.empty());
+    }
+    // broadcast from the hub
+    Bytes b = rank == 0 ? Bytes{3, 5} : Bytes{};
+    c.broadcast_bytes(b, 0);
+    EXPECT_EQ(b, (Bytes{3, 5}));
+    // all-gather of variable-length frames
+    const auto every = c.allgather_bytes(Bytes{static_cast<std::uint8_t>(rank * 10)});
+    ASSERT_EQ(every.size(), 4u);
+    EXPECT_EQ(every[3], (Bytes{30}));
+    // A star has no client↔client links: a non-hub root and the ring are
+    // refused on every rank, before a tag is claimed, so the group stays
+    // in step for the collectives after.
+    expect_throw_with([&] { (void)c.gather_bytes(Bytes{1}, 1); },
+                      "star collectives require root == 0");
+    Bytes nb{1};
+    expect_throw_with([&] { c.broadcast_bytes(nb, 2); },
+                      "star collectives require root == 0");
+    Tensor t = Tensor::full({3}, 1.0f);
+    expect_throw_with([&] { c.allreduce(t, ReduceOp::Sum); },
+                      "ring allreduce needs all-to-all links");
+    star_barrier(c);
   });
 }
 
@@ -313,13 +331,11 @@ TEST(Tcp, LargePayloadRoundtrip) {
   run_tcp(2, of::testutil::ephemeral_port(), [](int rank, Communicator& c) {
     Rng rng(1);
     if (rank == 0) {
-      const Tensor big = Tensor::randn({100000}, rng);
-      c.send_tensor(1, 1, big);
-      const Tensor back = c.recv_tensor(1, 2);
-      EXPECT_TRUE(back.allclose(big, 0.0f, 0.0f));
+      const Bytes big = of::tensor::serialize_tensor(Tensor::randn({100000}, rng));
+      c.send_bytes(1, 1, big);
+      EXPECT_EQ(c.recv_bytes(1, 2), big);
     } else {
-      const Tensor got = c.recv_tensor(0, 1);
-      c.send_tensor(0, 2, got);
+      c.send_bytes(0, 2, c.recv_bytes(0, 1));
     }
   });
 }
@@ -440,6 +456,51 @@ TEST(TcpHardening, OversizedFrameDropsLink) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_FALSE(server->peer_alive(1));
   ::close(fd);
+}
+
+TEST(TcpHardening, HostileServerFrameDropsClientLink) {
+  // The client's reader passes headers through the same check as the
+  // server: a bad magic or a length past the 1 GiB cap severs the link
+  // before any payload is allocated or delivered. A raw listener stands in
+  // for the server.
+  const WireHeader bad_magic{0xBADF00Du, 0, 7, 0, 4, 0, 0};
+  const WireHeader oversized{kWireMagic, 0, 7, 0, (1ull << 30) + 1, 0, 0};
+  for (const WireHeader& hostile : {bad_magic, oversized}) {
+    const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(lfd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    ASSERT_EQ(::listen(lfd, 1), 0);
+    socklen_t alen = sizeof(addr);
+    ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &alen), 0);
+
+    auto client = TcpCommunicator::make_client("127.0.0.1", ntohs(addr.sin_port), 1, 2);
+    const int fd = ::accept(lfd, nullptr, nullptr);
+    ASSERT_GE(fd, 0);
+    WireHeader hello{};
+    ASSERT_EQ(::recv(fd, &hello, sizeof(hello), MSG_WAITALL),
+              static_cast<ssize_t>(sizeof(hello)));
+    EXPECT_EQ(hello.magic, kWireMagic);
+    EXPECT_EQ(hello.tag, kWireHelloTag);
+    ASSERT_TRUE(client->peer_alive(0));
+
+    // A receive already waiting on the frame's tag must not get it.
+    client->set_recv_timeout(0.5);
+    std::thread waiter([&] {
+      EXPECT_THROW((void)client->recv_bytes(0, 7), std::runtime_error);
+    });
+    send_raw(fd, &hostile, sizeof(hostile));
+    if (hostile.len == 4) send_raw(fd, "abcd", 4);  // a complete frame but for the magic
+    for (int i = 0; i < 500 && client->peer_alive(0); ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_FALSE(client->peer_alive(0));
+    waiter.join();
+    client.reset();
+    ::close(fd);
+    ::close(lfd);
+  }
 }
 
 TEST(TcpHardening, RecvTimeoutMentionsTimeout) {
@@ -651,10 +712,13 @@ TEST(Amqp, CollectivesWorkOverQueues) {
     Tensor t = Tensor::full({9}, static_cast<float>(rank + 1));
     c.allreduce(t, ReduceOp::Sum);
     EXPECT_FLOAT_EQ(t[0], 10.0f);
-    Tensor b = rank == 2 ? Tensor::full({3}, 5.0f) : Tensor({3});
-    c.broadcast(b, 2);
-    EXPECT_FLOAT_EQ(b[1], 5.0f);
-    c.barrier();
+    // Queues are any-to-any, so a byte broadcast may root anywhere.
+    Bytes b = rank == 2 ? Bytes{5, 5, 5} : Bytes{};
+    c.broadcast_bytes(b, 2);
+    EXPECT_EQ(b, (Bytes{5, 5, 5}));
+    const auto all = c.allgather_bytes(Bytes{static_cast<std::uint8_t>(rank)});
+    ASSERT_EQ(all.size(), 4u);
+    for (std::size_t p = 0; p < 4; ++p) EXPECT_EQ(all[p], Bytes{static_cast<std::uint8_t>(p)});
   });
 }
 

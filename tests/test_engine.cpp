@@ -592,6 +592,17 @@ TEST(Engine, CombinerDeadlineWithPrivacyRejected) {
   }
 }
 
+TEST(Engine, RingOverStarCommunicatorRejected) {
+  // The ring all-reduce sends to both neighbours; a client/server star only
+  // links clients to the server, so the config is refused before any link.
+  ConfigNode cfg = base_config();
+  cfg.set_path("topology._target_", ConfigNode::string("RingTopology"));
+  cfg.set_path("topology.num_nodes", ConfigNode::integer(4));
+  cfg.set_path("topology.inner_comm._target_", ConfigNode::string("GrpcCommunicator"));
+  cfg.set_path("topology.inner_comm.port", ConfigNode::integer(of::testutil::ephemeral_port()));
+  expect_rejected(cfg, "ring topology requires an all-to-all communicator");
+}
+
 TEST(Engine, CsvExport) {
   Engine engine(base_config());
   const RunResult r = engine.run();
