@@ -113,10 +113,11 @@ class Algorithm {
   }
   // Model used for accuracy evaluation (Ditto evaluates its personal model).
   virtual Model* eval_model(TrainContext& ctx) { return ctx.model; }
+  // The parameters shares_parameter keeps, in deterministic model order.
+  std::vector<Parameter*> shared_parameters(Model& m) const;
 
  protected:
-  // Shared-parameter views in deterministic model order.
-  std::vector<Parameter*> shared_parameters(Model& m) const;
+  // Shared-parameter values and assignment, in the same order.
   std::vector<Tensor> shared_values(Model& m) const;
   void set_shared_values(Model& m, const std::vector<Tensor>& values) const;
 

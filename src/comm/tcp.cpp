@@ -367,12 +367,10 @@ void TcpCommunicator::set_peer_lifecycle(std::function<void(int, bool)> cb) {
 }
 
 void TcpCommunicator::notify_lifecycle(int peer_rank, bool up) {
-  std::function<void(int, bool)> cb;
-  {
-    std::lock_guard<std::mutex> lock(lifecycle_mu_);
-    cb = lifecycle_;
-  }
-  if (cb) cb(peer_rank, up);
+  // Run the observer under the lock: once set_peer_lifecycle(nullptr)
+  // returns, no call is still running against state its owner destroys next.
+  std::lock_guard<std::mutex> lock(lifecycle_mu_);
+  if (lifecycle_) lifecycle_(peer_rank, up);
 }
 
 void TcpCommunicator::retire_fd(int fd) {
@@ -435,6 +433,7 @@ void TcpCommunicator::server_drop_conn(int fd, const std::string& err) {
         p.fd = -1;  // closed below; a rejoin installs a fresh fd
       }
     }
+    if (!ft_.enabled) wake_receivers();
     notify_lifecycle(peer_rank, false);
   }
   ::close(fd);
@@ -688,6 +687,7 @@ void TcpCommunicator::reader_main(int peer_rank, int fd) {
     }
     // Only clients run readers (the server multiplexes on its event loop);
     // without fault tolerance a dead link stays dead.
+    if (!ft_.enabled) wake_receivers();
     if (rank_ == 0 || !ft_.enabled) return;
     const int nfd = client_reconnect();
     if (nfd < 0) return;  // gave up (or shutdown)
@@ -913,6 +913,13 @@ CommStats TcpCommunicator::stats() const {
   return s;
 }
 
+void TcpCommunicator::wake_receivers() {
+  // Notify under the inbox lock: a take() that read the link as up is then
+  // already waiting, so the wakeup cannot fall between its check and its wait.
+  std::lock_guard<std::mutex> lock(inbox_mu_);
+  inbox_cv_.notify_all();
+}
+
 Bytes TcpCommunicator::take(int src, int tag) {
   std::unique_lock<std::mutex> lock(inbox_mu_);
   const auto key = std::make_pair(src, tag);
@@ -920,11 +927,18 @@ Bytes TcpCommunicator::take(int src, int tag) {
       std::chrono::steady_clock::now() +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(timeout_seconds_));
-  const bool ok = inbox_cv_.wait_until(lock, deadline, [&] {
+  const auto queued = [&] {
     auto it = inbox_.find(key);
     return it != inbox_.end() && !it->second.empty();
+  };
+  // Lock order inbox_mu_ → Peer::mu; no path takes them the other way.
+  const bool ok = inbox_cv_.wait_until(lock, deadline, [&] {
+    return queued() || (!ft_.enabled && !peer_alive(src));
   });
   OF_CHECK_MSG(ok, "TCP recv timeout waiting for (src=" << src << ", tag=" << tag << ')');
+  // A frame delivered before the link died is still returned first.
+  OF_CHECK_MSG(queued(), "TCP link from rank " << rank_ << " to rank " << src
+                                               << " is down (recv tag=" << tag << ')');
   auto it = inbox_.find(key);
   Inbound in = std::move(it->second.front());
   it->second.pop();

@@ -219,7 +219,13 @@ class TcpCommunicator final : public Communicator {
                           const obs::TraceContext& ctx);
   void flush_outbox_locked(Peer& p);
   void retire_fd(int fd);
+  // Pop the oldest frame from (src, tag), waiting up to the receive timeout.
+  // Without fault tolerance a dead link stays dead, so once nothing is
+  // queued and the link to `src` is down it throws at once.
   Bytes take(int src, int tag);
+  // A link went down without fault tolerance: wake every take() so waiters
+  // on that peer fail now instead of at their timeout.
+  void wake_receivers();
 
   int rank_;
   int world_size_;

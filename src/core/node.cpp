@@ -339,12 +339,11 @@ NodeReport NodeRuntime::run_trainer(comm::Communicator& inner) {
       return NodeReport{};
     }
     if (decision.disconnect || decision.extra_delay_seconds > 0.0) ++telem_faults_;
-    std::vector<tensor::Tensor> global;
     {
       ScopedSpan span(Name::Decode, s_.node_id, round, gbytes.size());
-      global = unpack_tensors(gbytes);
+      tensor::deserialize_tensors_into(gbytes, global_buf_);
     }
-    const algorithms::TrainStats stats = train_one_round(global, round);
+    const algorithms::TrainStats stats = train_one_round(global_buf_, round);
     if (decision.extra_delay_seconds > 0.0) {
       // An injected straggler is indistinguishable from slow compute on the
       // wire; span the stall as train time so attribution names it `compute`
@@ -407,12 +406,15 @@ NodeReport NodeRuntime::run_hub(comm::Communicator& inner, comm::Communicator* o
   std::vector<tensor::Bytes> frames(static_cast<std::size_t>(inner.world_size()));
   std::vector<RoundMetrics> metrics(frames.size());
   std::size_t parked_peak = 0;  // run-wide, like StreamingSum::peak_bytes
+  tensor::Bytes gbytes;  // the broadcast model frame, re-packed in place by the root
 
   for (std::size_t round = 0; round < s_.global_rounds; ++round) {
     ScopedSpan round_span(Name::Round, s_.node_id, round);
     const RoundStart start = round_start(outer != nullptr ? *outer : inner);
-    tensor::Bytes gbytes;
-    if (is_root) gbytes = pack_tensors(state.global);
+    if (is_root) {
+      gbytes.clear();
+      tensor::serialize_tensors(state.global, gbytes);
+    }
     {
       ScopedSpan span(Name::Broadcast, s_.node_id, round);
       if (outer != nullptr) outer->broadcast_bytes(gbytes, 0);
@@ -628,7 +630,7 @@ NodeReport NodeRuntime::run_ring_node(comm::Communicator& inner) {
 // FedAsync rule w ← w + α/(1+s)·Δ — the old `scheduling: {mode: async}`
 // group maps onto exactly that configuration. Frames:
 //   kServeModel  server → client: u8 kind | body
-//     kind 0 Invite: packed global tensors
+//     kind 0 Invite: packed global tensors, framed once per model version
 //     kind 1 Retry:  u8 reason (1 = stale, 2 = full) | f32 retry_after_s
 //     kind 2 Stop:   (empty)
 //   kServeUpdate client → server: u8 kind | body
@@ -704,14 +706,17 @@ NodeReport NodeRuntime::run_serve_aggregator(comm::Communicator& inner) {
   std::uint64_t resampled = 0;
   std::uint64_t pick_counter = 0;
 
+  tensor::Bytes model_frame;  // the invite frame and the version it holds
+  std::optional<std::uint64_t> framed_version;
   auto send_model = [&](int dst) {
-    tensor::Bytes frame{kDownInvite};
-    const tensor::Bytes packed = pack_tensors(state.global);
-    frame.insert(frame.end(), packed.begin(), packed.end());
-    ScopedSpan span(Name::Send, s_.node_id, trace_round, frame.size());
-    inner.send_bytes(dst, kServeModel, frame);
-    invited_version[static_cast<std::size_t>(dst)] =
-        version.load(std::memory_order_relaxed);
+    const std::uint64_t v = version.load(std::memory_order_relaxed);
+    if (std::exchange(framed_version, v) != v) {
+      model_frame.assign(1, kDownInvite);
+      tensor::serialize_tensors(state.global, model_frame);
+    }
+    ScopedSpan span(Name::Send, s_.node_id, trace_round, model_frame.size());
+    inner.send_bytes(dst, kServeModel, model_frame);
+    invited_version[static_cast<std::size_t>(dst)] = v;
     in_flight.insert(dst);
   };
 
@@ -920,32 +925,27 @@ NodeReport NodeRuntime::run_serve_trainer(comm::Communicator& inner) {
       continue;
     }
     ScopedSpan decode_span(Name::Decode, s_.node_id, round, frame.size() - off);
-    const auto global = tensor::deserialize_tensors(tensor::ConstByteSpan(frame).subspan(off));
+    tensor::deserialize_tensors_into(tensor::ConstByteSpan(frame).subspan(off), global_buf_);
     tensor::Bytes().swap(frame);  // decoded: free the invite before training
     decode_span.end();
 
-    apply_global(global, round);
+    apply_global(global_buf_, round);
     const algorithms::TrainStats stats = train_local(round);
     algo.on_round_end(ctx_);
 
     // The wire always carries the delta against the snapshot we trained
     // from, whatever the algorithm's own payload convention is (the buffer
     // folds staleness-weighted deltas).
-    std::vector<tensor::Tensor> payload;
-    {
-      std::vector<nn::Parameter*> shared;
-      for (auto* p : ctx_.model->parameters())
-        if (algo.shares_parameter(*p)) shared.push_back(p);
-      OF_CHECK_MSG(shared.size() == global.size(), "serve payload/global mismatch");
-      for (std::size_t i = 0; i < shared.size(); ++i) {
-        tensor::Tensor d = shared[i]->value;
-        d.sub_(global[i]);
-        payload.push_back(std::move(d));
-      }
+    const auto shared = algo.shared_parameters(*ctx_.model);
+    OF_CHECK_MSG(shared.size() == global_buf_.size(), "serve payload/global mismatch");
+    delta_buf_.resize(shared.size());
+    for (std::size_t i = 0; i < shared.size(); ++i) {
+      delta_buf_[i] = shared[i]->value;  // copy-assign keeps the storage
+      delta_buf_[i].sub_(global_buf_[i]);
     }
     // The buffer's StreamingSum ignores a skip marker, so a rejected update
     // contributes nothing to the folded aggregate.
-    encode_or_skip(payload, nullptr, round);
+    encode_or_skip(delta_buf_, nullptr, round);
     // The up-frame is built in place around the payload in the reused
     // frame buffer, so steady-state updates allocate nothing.
     frame_buf_.insert(frame_buf_.begin(), kUpUpdate);

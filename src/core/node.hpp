@@ -231,6 +231,10 @@ class NodeRuntime {
   // at steady state (DESIGN.md § Update pipeline & memory model).
   FramePool pool_;
   tensor::Bytes frame_buf_;  // this node's outgoing update frame, reused
+  // A trainer's decoded global model and its serve delta, reused: once the
+  // shapes are set, decoding and differencing allocate nothing.
+  std::vector<tensor::Tensor> global_buf_;
+  std::vector<tensor::Tensor> delta_buf_;
   double train_seconds_ = 0.0;
   // Raw TCP transport under the inner communicator, when that is the
   // backend — the target of transport-level fault injections.

@@ -1,5 +1,8 @@
 #include "tensor/serialize.hpp"
 
+#include <algorithm>
+#include <array>
+
 #include "simd/simd.hpp"
 
 namespace of::tensor {
@@ -36,6 +39,38 @@ void add_scaled_from_f16_bytes(ConstByteSpan src, double alpha, FloatSpan acc) {
   simd::accum_scaled_f16_bytes(acc.data(), src.data(), alpha, acc.size());
 }
 
+namespace {
+
+// Size of one tensor's record on the wire.
+std::size_t serialized_size(const Tensor& t) {
+  return sizeof(std::uint32_t) + sizeof(std::uint64_t) * t.ndim() + sizeof(float) * t.numel();
+}
+
+// The one shape reader behind every tensor decode: reads rank and dims into
+// `dims` (no allocation) and rejects a hostile rank, or dims whose float
+// data cannot fit in the rest of the frame, before anything is allocated.
+// Returns the rank.
+std::uint32_t read_shape(ConstByteSpan buf, std::size_t& offset,
+                         std::array<std::size_t, 8>& dims) {
+  const auto ndim = read_pod<std::uint32_t>(buf, offset);
+  OF_CHECK_MSG(ndim <= 8, "implausible tensor rank " << ndim << " — corrupt frame?");
+  std::size_t numel = 1;
+  for (std::uint32_t i = 0; i < ndim; ++i) {
+    const auto dim = read_pod<std::uint64_t>(buf, offset);
+    // The float data for this tensor still has to fit in the remaining
+    // payload; keep a running product so multi-dim shapes can't sneak past
+    // a per-dim cap.
+    const std::size_t max_numel = (buf.size() - offset) / sizeof(float);
+    OF_CHECK_MSG(dim <= max_numel && (dim == 0 || numel <= max_numel / dim),
+                 "tensor dims exceed remaining frame — corrupt frame?");
+    numel *= static_cast<std::size_t>(dim);
+    dims[i] = static_cast<std::size_t>(dim);
+  }
+  return ndim;
+}
+
+}  // namespace
+
 void serialize_tensor(const Tensor& t, Bytes& out) {
   append_pod<std::uint32_t>(out, static_cast<std::uint32_t>(t.ndim()));
   for (std::size_t d : t.shape()) append_pod<std::uint64_t>(out, d);
@@ -44,28 +79,15 @@ void serialize_tensor(const Tensor& t, Bytes& out) {
 
 Bytes serialize_tensor(const Tensor& t) {
   Bytes out;
-  out.reserve(4 + 8 * t.ndim() + 4 * t.numel());
+  out.reserve(serialized_size(t));
   serialize_tensor(t, out);
   return out;
 }
 
 Tensor deserialize_tensor(ConstByteSpan buf, std::size_t& offset) {
-  const auto ndim = read_pod<std::uint32_t>(buf, offset);
-  OF_CHECK_MSG(ndim <= 8, "implausible tensor rank " << ndim << " — corrupt frame?");
-  Shape shape(ndim);
-  std::size_t numel = 1;
-  for (auto& d : shape) {
-    const auto dim = read_pod<std::uint64_t>(buf, offset);
-    // The float data for this tensor still has to fit in the remaining
-    // payload; reject hostile/corrupt dims before Tensor allocates, keeping a
-    // running product so multi-dim shapes can't sneak past a per-dim cap.
-    const std::size_t max_numel = (buf.size() - offset) / sizeof(float);
-    OF_CHECK_MSG(dim <= max_numel && (dim == 0 || numel <= max_numel / dim),
-                 "tensor dims exceed remaining frame — corrupt frame?");
-    numel *= static_cast<std::size_t>(dim);
-    d = static_cast<std::size_t>(dim);
-  }
-  Tensor t(shape);
+  std::array<std::size_t, 8> dims{};
+  const std::uint32_t ndim = read_shape(buf, offset, dims);
+  Tensor t(Shape(dims.begin(), dims.begin() + ndim));
   read_span(buf, offset, t.data(), t.numel());
   return t;
 }
@@ -77,23 +99,40 @@ Tensor deserialize_tensor(ConstByteSpan buf) {
   return t;
 }
 
-Bytes serialize_tensors(const std::vector<Tensor>& ts) {
-  Bytes out;
+void serialize_tensors(const std::vector<Tensor>& ts, Bytes& out) {
+  std::size_t size = out.size() + sizeof(std::uint32_t);
+  for (const auto& t : ts) size += serialized_size(t);
+  out.reserve(size);
   append_pod<std::uint32_t>(out, static_cast<std::uint32_t>(ts.size()));
   for (const auto& t : ts) serialize_tensor(t, out);
+}
+
+Bytes serialize_tensors(const std::vector<Tensor>& ts) {
+  Bytes out;
+  serialize_tensors(ts, out);
   return out;
 }
 
 std::vector<Tensor> deserialize_tensors(ConstByteSpan buf) {
+  std::vector<Tensor> ts;
+  deserialize_tensors_into(buf, ts);
+  return ts;
+}
+
+void deserialize_tensors_into(ConstByteSpan buf, std::vector<Tensor>& out) {
   std::size_t offset = 0;
   const auto count = read_pod<std::uint32_t>(buf, offset);
   OF_CHECK_MSG(count <= (buf.size() - offset) / sizeof(std::uint32_t),
                "tensor count " << count << " exceeds remaining frame — corrupt frame?");
-  std::vector<Tensor> ts;
-  ts.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) ts.push_back(deserialize_tensor(buf, offset));
+  out.resize(count);
+  std::array<std::size_t, 8> dims{};
+  for (Tensor& t : out) {
+    const std::uint32_t ndim = read_shape(buf, offset, dims);
+    if (!std::equal(dims.begin(), dims.begin() + ndim, t.shape().begin(), t.shape().end()))
+      t = Tensor(Shape(dims.begin(), dims.begin() + ndim));
+    read_span(buf, offset, t.data(), t.numel());
+  }
   OF_CHECK_MSG(offset == buf.size(), "trailing bytes after tensor list frame");
-  return ts;
 }
 
 }  // namespace of::tensor

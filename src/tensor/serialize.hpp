@@ -96,8 +96,15 @@ Bytes serialize_tensor(const Tensor& t);
 Tensor deserialize_tensor(ConstByteSpan buf, std::size_t& offset);
 Tensor deserialize_tensor(ConstByteSpan buf);
 
-// Multiple tensors in one frame (a model's parameter list).
+// Multiple tensors in one frame (a model's parameter list). The appending
+// form reserves the exact size first, so it writes the frame in one pass
+// after whatever prefix `out` already holds (a frame kind byte, say).
+void serialize_tensors(const std::vector<Tensor>& ts, Bytes& out);
 Bytes serialize_tensors(const std::vector<Tensor>& ts);
 std::vector<Tensor> deserialize_tensors(ConstByteSpan buf);
+// Decode into `out`, reusing each tensor whose shape already matches, so a
+// model received every round allocates nothing once warm (deserialize_tensors
+// is this into a fresh vector). On a throw `out` is left partly written.
+void deserialize_tensors_into(ConstByteSpan buf, std::vector<Tensor>& out);
 
 }  // namespace of::tensor

@@ -458,6 +458,30 @@ TEST(TcpHardening, OversizedFrameDropsLink) {
   ::close(fd);
 }
 
+// A raw listener standing in for the server: connects a rank-1 client of a
+// world of 2 to it and reads the client's hello.
+void connect_raw_server(int& lfd, int& fd, std::unique_ptr<TcpCommunicator>& client) {
+  lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(lfd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(lfd, 1), 0);
+  socklen_t alen = sizeof(addr);
+  ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &alen), 0);
+
+  client = TcpCommunicator::make_client("127.0.0.1", ntohs(addr.sin_port), 1, 2);
+  fd = ::accept(lfd, nullptr, nullptr);
+  ASSERT_GE(fd, 0);
+  WireHeader hello{};
+  ASSERT_EQ(::recv(fd, &hello, sizeof(hello), MSG_WAITALL),
+            static_cast<ssize_t>(sizeof(hello)));
+  EXPECT_EQ(hello.magic, kWireMagic);
+  EXPECT_EQ(hello.tag, kWireHelloTag);
+  ASSERT_TRUE(client->peer_alive(0));
+}
+
 TEST(TcpHardening, HostileServerFrameDropsClientLink) {
   // The client's reader passes headers through the same check as the
   // server: a bad magic or a length past the 1 GiB cap severs the link
@@ -466,30 +490,17 @@ TEST(TcpHardening, HostileServerFrameDropsClientLink) {
   const WireHeader bad_magic{0xBADF00Du, 0, 7, 0, 4, 0, 0};
   const WireHeader oversized{kWireMagic, 0, 7, 0, (1ull << 30) + 1, 0, 0};
   for (const WireHeader& hostile : {bad_magic, oversized}) {
-    const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(lfd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-    ASSERT_EQ(::listen(lfd, 1), 0);
-    socklen_t alen = sizeof(addr);
-    ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &alen), 0);
+    int lfd = -1, fd = -1;
+    std::unique_ptr<TcpCommunicator> client;
+    ASSERT_NO_FATAL_FAILURE(connect_raw_server(lfd, fd, client));
 
-    auto client = TcpCommunicator::make_client("127.0.0.1", ntohs(addr.sin_port), 1, 2);
-    const int fd = ::accept(lfd, nullptr, nullptr);
-    ASSERT_GE(fd, 0);
-    WireHeader hello{};
-    ASSERT_EQ(::recv(fd, &hello, sizeof(hello), MSG_WAITALL),
-              static_cast<ssize_t>(sizeof(hello)));
-    EXPECT_EQ(hello.magic, kWireMagic);
-    EXPECT_EQ(hello.tag, kWireHelloTag);
-    ASSERT_TRUE(client->peer_alive(0));
-
-    // A receive already waiting on the frame's tag must not get it.
-    client->set_recv_timeout(0.5);
+    // A receive already waiting on the frame's tag must not get it, and
+    // without fault tolerance it fails as soon as the link drops, not at
+    // the (default 60 s) receive timeout.
     std::thread waiter([&] {
-      EXPECT_THROW((void)client->recv_bytes(0, 7), std::runtime_error);
+      const auto t0 = std::chrono::steady_clock::now();
+      expect_throw_with([&] { (void)client->recv_bytes(0, 7); }, "is down");
+      EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
     });
     send_raw(fd, &hostile, sizeof(hostile));
     if (hostile.len == 4) send_raw(fd, "abcd", 4);  // a complete frame but for the magic
@@ -501,6 +512,28 @@ TEST(TcpHardening, HostileServerFrameDropsClientLink) {
     ::close(fd);
     ::close(lfd);
   }
+}
+
+TEST(TcpHardening, FrameDeliveredBeforeEofComesFirst) {
+  // Without fault tolerance the server closing its end makes the next
+  // receive fail at once, but only after every frame it sent before the EOF
+  // was handed out.
+  int lfd = -1, fd = -1;
+  std::unique_ptr<TcpCommunicator> client;
+  ASSERT_NO_FATAL_FAILURE(connect_raw_server(lfd, fd, client));
+  const WireHeader h{kWireMagic, 0, 7, 0, 4, 0, 0};
+  send_raw(fd, &h, sizeof(h));
+  send_raw(fd, "abcd", 4);
+  ::close(fd);
+  for (int i = 0; i < 500 && client->peer_alive(0); ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_FALSE(client->peer_alive(0));
+  EXPECT_EQ(client->recv_bytes(0, 7), (Bytes{'a', 'b', 'c', 'd'}));
+  const auto t0 = std::chrono::steady_clock::now();
+  expect_throw_with([&] { (void)client->recv_bytes(0, 7); }, "is down");
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
+  client.reset();
+  ::close(lfd);
 }
 
 TEST(TcpHardening, RecvTimeoutMentionsTimeout) {

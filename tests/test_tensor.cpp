@@ -1,10 +1,30 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <new>
+#include <string>
+#include <utility>
 
 #include "tensor/serialize.hpp"
 #include "tensor/tensor.hpp"
+
+// Counts every plain operator new, so a test can assert that a warm decode
+// allocates nothing. Array and nothrow forms route through this pair in
+// libstdc++, and GCC cannot see that the malloc/free pair matches.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+std::atomic<std::size_t> g_allocs{0};
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -351,6 +371,86 @@ TEST(Serialize, TrailingBytesThrow) {
   Bytes b = of::tensor::serialize_tensor(Tensor::randn({4}, rng));
   b.push_back(0);
   EXPECT_THROW(of::tensor::deserialize_tensor(b), std::runtime_error);
+}
+
+TEST(Serialize, TensorListAppendsAfterPrefix) {
+  Rng rng(7);
+  const std::vector<Tensor> ts{Tensor::randn({3, 2}, rng), Tensor::randn({5}, rng), Tensor({0})};
+  const Bytes whole = of::tensor::serialize_tensors(ts);
+  Bytes out{0x7E};
+  of::tensor::serialize_tensors(ts, out);
+  ASSERT_EQ(out.size(), 1 + whole.size());
+  EXPECT_EQ(out[0], 0x7E);
+  EXPECT_TRUE(std::equal(whole.begin(), whole.end(), out.begin() + 1));
+}
+
+// The message of the runtime_error `fn` throws, or "" if it throws none.
+std::string rejection(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Serialize, DecodeIntoRejectsWhatDecodeRejects) {
+  Rng rng(7);
+  const Bytes good = of::tensor::serialize_tensors({Tensor::randn({4}, rng)});
+  Bytes truncated = good;
+  truncated.pop_back();
+  Bytes trailing = good;
+  trailing.push_back(0);
+  Bytes count_past;  // a count no frame of this size can hold
+  of::tensor::append_pod<std::uint32_t>(count_past, 0xFFFFFFFFu);
+  Bytes rank9;
+  of::tensor::append_pod<std::uint32_t>(rank9, 1);
+  of::tensor::append_pod<std::uint32_t>(rank9, 9);
+  Bytes dims_past;
+  of::tensor::append_pod<std::uint32_t>(dims_past, 1);
+  of::tensor::append_pod<std::uint32_t>(dims_past, 1);
+  of::tensor::append_pod<std::uint64_t>(dims_past, std::uint64_t{1} << 50);
+  const std::pair<const Bytes*, const char*> cases[] = {
+      {&truncated, "tensor dims exceed remaining frame"},
+      {&trailing, "trailing bytes after tensor list frame"},
+      {&count_past, "tensor count 4294967295 exceeds remaining frame"},
+      {&rank9, "implausible tensor rank 9"},
+      {&dims_past, "tensor dims exceed remaining frame"},
+  };
+  for (const auto& [frame, want] : cases) {
+    const std::string plain = rejection([&] { (void)of::tensor::deserialize_tensors(*frame); });
+    std::vector<Tensor> into{Tensor({4})};
+    const std::string reused =
+        rejection([&] { of::tensor::deserialize_tensors_into(*frame, into); });
+    EXPECT_NE(plain.find(want), std::string::npos) << plain;
+    EXPECT_NE(reused.find(want), std::string::npos) << reused;
+  }
+}
+
+TEST(Serialize, DecodeIntoReusesMatchingTensors) {
+  Rng rng(7);
+  const std::vector<Tensor> a{Tensor::randn({3, 2}, rng), Tensor::randn({5}, rng)};
+  const std::vector<Tensor> b{Tensor::randn({3, 2}, rng), Tensor::randn({5}, rng)};
+  const Bytes fa = of::tensor::serialize_tensors(a);
+  const Bytes fb = of::tensor::serialize_tensors(b);
+  std::vector<Tensor> out;
+  of::tensor::deserialize_tensors_into(fa, out);
+  ASSERT_EQ(out.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) EXPECT_TRUE(out[i].allclose(a[i], 0.0f, 0.0f));
+
+  const float* data0 = out[0].data();
+  const std::size_t before = g_allocs.load();
+  of::tensor::deserialize_tensors_into(fb, out);
+  EXPECT_EQ(g_allocs.load() - before, 0u) << "a warm decode allocated";
+  EXPECT_EQ(out[0].data(), data0);
+  for (std::size_t i = 0; i < 2; ++i) EXPECT_TRUE(out[i].allclose(b[i], 0.0f, 0.0f));
+
+  // A shape change re-allocates just that tensor, and the list may shrink.
+  const std::vector<Tensor> c{Tensor::randn({2, 3}, rng)};
+  of::tensor::deserialize_tensors_into(of::tensor::serialize_tensors(c), out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].shape(), (Shape{2, 3}));
+  EXPECT_TRUE(out[0].allclose(c[0], 0.0f, 0.0f));
 }
 
 TEST(Serialize, PodHelpers) {
